@@ -1,4 +1,4 @@
-//! Algorithm 1 per-layer search cost on a realistic sample reservoir.
+//! Algorithm 1 per-layer search cost on a realistic count histogram.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -8,14 +8,13 @@ use trq_core::pim::LayerSamples;
 use trq_quant::Histogram;
 
 fn samples() -> LayerSamples {
-    let mut values = Vec::new();
+    let mut counts = vec![0u64; 129];
     for i in 0..4096u64 {
         let u = (i as f64 + 0.5) / 4096.0;
-        values.push((-5.0 * (1.0 - u).ln()).min(120.0).floor());
+        counts[(-5.0 * (1.0 - u).ln()).min(120.0) as usize] += 1;
     }
-    let mut hist = Histogram::new(0.0, 129.0, 129).unwrap();
-    hist.extend(values.iter().copied());
-    LayerSamples { mvm_index: 0, label: "bench".into(), seen: values.len() as u64, values, hist }
+    let hist = Histogram::from_counts(counts).unwrap();
+    LayerSamples { mvm_index: 0, label: "bench".into(), hist }
 }
 
 fn bench_calibration(c: &mut Criterion) {

@@ -18,7 +18,7 @@ use trq_core::arch::ArchConfig;
 use trq_core::calib::{collect_bl_samples, evaluate_plan, plan_network, CalibSettings};
 use trq_core::experiments::Workload;
 use trq_core::pim::{AdcScheme, CollectorConfig};
-use trq_quant::quantizer_mse;
+use trq_quant::weighted_quantizer_mse;
 
 #[derive(Serialize)]
 struct AblationReport {
@@ -66,7 +66,7 @@ fn main() {
             AdcScheme::Trq(p) => p.nu() as f64, // one extra ν per conversion
             _ => 0.0,
         };
-        let seen = samples[plan.mvm_index].seen as f64;
+        let seen = samples[plan.mvm_index].hist.count() as f64;
         ops_base += plan.mean_ops * seen;
         ops_double_nu += (plan.mean_ops + extra) * seen;
         convs += seen;
@@ -86,10 +86,10 @@ fn main() {
 
     // 3. non-uniform SAR at nmax bits vs the TRQ reconstruction, on the
     //    busiest layer's calibration samples
-    let busiest = samples.iter().max_by_key(|s| s.seen).expect("at least one layer");
+    let busiest = samples.iter().max_by_key(|s| s.hist.count()).expect("at least one layer");
     let nu = NonUniformSarAdc::from_histogram(&busiest.hist, nmax)
         .expect("non-degenerate calibration histogram");
-    let nu_mse = quantizer_mse(&busiest.values, |x| nu.convert(x).value);
+    let nu_mse = weighted_quantizer_mse(busiest.hist.counts(), |x| nu.convert(x).value);
     let trq_mse = plans[busiest.mvm_index].mse.max(f64::MIN_POSITIVE);
 
     let report = AblationReport {

@@ -46,8 +46,8 @@ pub struct PlanEval {
 }
 
 /// Runs the quantized network over calibration images with an ideal-ADC
-/// collector engine and returns per-layer BL samples — Algorithm 1's raw
-/// input (the paper samples 32 calibration images).
+/// collector engine and returns each layer's exact BL count histogram —
+/// Algorithm 1's raw input (the paper samples 32 calibration images).
 ///
 /// # Errors
 ///
@@ -61,9 +61,7 @@ pub fn collect_bl_samples(
 ) -> Result<Vec<LayerSamples>, CalibError> {
     let mut engine = PimMvm::collector(*arch, qnet.layers().len(), config);
     // the whole calibration batch goes through each layer in one engine
-    // call; the collector's per-tile counts pass sees every BL sample in
-    // deterministic tile order (the collector pins tile rounds to one
-    // thread for exactly this reason, so no pool sharding here)
+    // call, which tallies every BL count of the layer
     qnet.forward_batch(images, &mut engine).map_err(CalibError::Collection)?;
     Ok(engine.take_samples())
 }
@@ -89,15 +87,29 @@ pub fn evaluate_plan(
     plan: &[AdcScheme],
     metric: &EvalMetric<'_>,
 ) -> Result<PlanEval, CalibError> {
+    evaluate_against(qnet, arch, plan, metric, None).map(|(eval, _)| eval)
+}
+
+/// [`evaluate_plan`], scoring against `targets` (the class each input
+/// counts as correct) when given. Without them, targets are the labels or
+/// the float network's classes, and they are returned so later calls over
+/// the same metric can skip the FP32 reference forwards.
+pub(super) fn evaluate_against(
+    qnet: &QuantizedNetwork,
+    arch: &ArchConfig,
+    plan: &[AdcScheme],
+    metric: &EvalMetric<'_>,
+    targets: Option<&[usize]>,
+) -> Result<(PlanEval, Vec<usize>), CalibError> {
     let n = metric.len();
     if n == 0 {
-        return Ok(PlanEval { score: 0.0, stats: PimStats::default() });
+        return Ok((PlanEval { score: 0.0, stats: PimStats::default() }, Vec::new()));
     }
     let threads = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1).min(8).min(n);
     let chunk = n.div_ceil(threads);
     // one result slot per shard; shards are merged in slot order below,
     // so the outcome is deterministic for every thread count
-    type ShardResult = Result<(usize, PimStats), CalibError>;
+    type ShardResult = Result<(usize, PimStats, Vec<usize>), CalibError>;
     let slots: Vec<Mutex<Option<ShardResult>>> = (0..threads).map(|_| Mutex::new(None)).collect();
     let store = |shard: usize, result: ShardResult| {
         *slots[shard].lock().unwrap_or_else(std::sync::PoisonError::into_inner) = Some(result);
@@ -111,13 +123,15 @@ pub fn evaluate_plan(
         let mut engine = PimMvm::new(*arch, plan.to_vec());
         // the shard's whole slice runs as one window batch, so the
         // engine tiles across images as well as windows
-        let images: Vec<Tensor> = (lo..hi)
-            .map(|i| match metric {
-                EvalMetric::Labeled(samples) => samples[i].0.clone(),
-                EvalMetric::Fidelity(inputs) => inputs[i].clone(),
-            })
-            .collect();
-        let ys = match qnet.forward_batch(&images, &mut engine) {
+        let labeled: Vec<Tensor>;
+        let images = match metric {
+            EvalMetric::Labeled(samples) => {
+                labeled = samples[lo..hi].iter().map(|s| s.0.clone()).collect();
+                &labeled
+            }
+            EvalMetric::Fidelity(inputs) => &inputs[lo..hi],
+        };
+        let ys = match qnet.forward_batch(images, &mut engine) {
             Ok(ys) => ys,
             Err(e) => {
                 store(shard, Err(CalibError::Evaluation(e)));
@@ -125,43 +139,42 @@ pub fn evaluate_plan(
             }
         };
         let mut correct = 0usize;
+        let mut shard_targets = Vec::with_capacity(hi - lo);
         for (i, y) in (lo..hi).zip(ys.iter()) {
-            match metric {
-                EvalMetric::Labeled(samples) => {
-                    if y.argmax() == samples[i].1 {
-                        correct += 1;
+            let target = match (metric, targets) {
+                (_, Some(targets)) => targets[i],
+                (EvalMetric::Labeled(samples), None) => samples[i].1,
+                (EvalMetric::Fidelity(inputs), None) => match qnet.network().forward(&inputs[i]) {
+                    Ok(r) => r.argmax(),
+                    Err(e) => {
+                        store(shard, Err(CalibError::Reference(e)));
+                        return;
                     }
-                }
-                EvalMetric::Fidelity(inputs) => {
-                    let reference = match qnet.network().forward(&inputs[i]) {
-                        Ok(r) => r,
-                        Err(e) => {
-                            store(shard, Err(CalibError::Reference(e)));
-                            return;
-                        }
-                    };
-                    if y.argmax() == reference.argmax() {
-                        correct += 1;
-                    }
-                }
+                },
+            };
+            if y.argmax() == target {
+                correct += 1;
             }
+            shard_targets.push(target);
         }
-        store(shard, Ok((correct, engine.stats().clone())));
+        store(shard, Ok((correct, engine.stats().clone(), shard_targets)));
     });
 
     let mut stats = PimStats::default();
     let mut correct = 0usize;
+    let mut all_targets = Vec::with_capacity(n);
     for slot in &slots {
         match slot.lock().unwrap_or_else(std::sync::PoisonError::into_inner).take() {
-            Some(Ok((c, s))) => {
+            Some(Ok((c, s, t))) => {
                 correct += c;
                 stats.merge(&s);
+                all_targets.extend(t);
             }
             Some(Err(e)) => return Err(e),
             None => {}
         }
     }
-    Ok(PlanEval { score: correct as f64 / n as f64, stats })
+    Ok((PlanEval { score: correct as f64 / n as f64, stats }, all_targets))
 }
 
 /// Evaluates a plan under a device [`NoiseModel`] — the fault-sweep
@@ -287,7 +300,7 @@ mod tests {
         assert_eq!(samples.len(), 2);
         for (i, s) in samples.iter().enumerate() {
             assert_eq!(s.mvm_index, i);
-            assert!(s.seen > 0, "layer {i} collected nothing");
+            assert!(s.hist.count() > 0, "layer {i} collected nothing");
         }
     }
 
@@ -324,6 +337,23 @@ mod tests {
         let b = evaluate_plan(&qnet, &arch, &plan, &metric).unwrap();
         assert_eq!(a.score, b.score, "evaluation must be deterministic");
         assert_eq!(a.stats.ops(), b.stats.ops());
+    }
+
+    #[test]
+    fn reused_targets_score_like_fresh_references() {
+        let (qnet, arch, images) = small_setup();
+        let metric = EvalMetric::Fidelity(&images);
+        let ideal = vec![AdcScheme::Ideal; qnet.layers().len()];
+        let (_, targets) = evaluate_against(&qnet, &arch, &ideal, &metric, None).unwrap();
+        assert_eq!(targets.len(), images.len());
+        for bits in [6, 2] {
+            let plan = vec![AdcScheme::uniform(bits, 0.7); qnet.layers().len()];
+            let fresh = evaluate_plan(&qnet, &arch, &plan, &metric).unwrap();
+            let (reused, _) =
+                evaluate_against(&qnet, &arch, &plan, &metric, Some(&targets)).unwrap();
+            assert_eq!(fresh.score.to_bits(), reused.score.to_bits());
+            assert_eq!(fresh.stats, reused.stats);
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@ use crate::arch::ArchConfig;
 use crate::pim::{AdcScheme, LayerSamples};
 use serde::{Deserialize, Serialize};
 use trq_quant::{
-    quantizer_mse, ClassifierConfig, DistributionClass, TrqParams, TwinRangeQuantizer,
+    weighted_quantizer_mse, ClassifierConfig, DistributionClass, TrqParams, TwinRangeQuantizer,
     UniformQuantizer,
 };
 
@@ -55,27 +55,38 @@ pub struct LayerPlan {
     /// Judged distribution type (Algorithm 1 line 5).
     pub class: DistributionClass,
     /// Expected A/D operations per conversion on the calibration
-    /// distribution (Eq. 9 normalised by sample count).
+    /// distribution (Eq. 9 normalised by conversion count).
     pub mean_ops: f64,
-    /// Quantization MSE on the calibration samples (Eq. 10).
+    /// Quantization MSE on the calibration distribution (Eq. 10).
     pub mse: f64,
     /// `Rideal = ceil(log2(ymax − ymin + 1))` (Algorithm 1 line 7).
     pub rideal: u32,
 }
 
-/// Eq. 9 cost in A/D operations, computed on pre-sorted samples with two
-/// binary searches (the window membership count) instead of a full pass.
-fn trq_ops_cost(sorted: &[f64], params: &TrqParams) -> f64 {
-    let n = sorted.len() as f64;
-    let lo = sorted.partition_point(|&v| v < params.theta_lo()) as f64;
-    let hi = sorted.partition_point(|&v| v < params.theta_hi()) as f64;
-    let in_r1 = hi - lo;
+/// Prefix sums of a count histogram: `below[k]` counts the conversions
+/// that saw a count under `k` (`counts.len() + 1` entries).
+fn counts_below(counts: &[u64]) -> Vec<u64> {
+    std::iter::once(0)
+        .chain(counts.iter().scan(0, |acc, &c| {
+            *acc += c;
+            Some(*acc)
+        }))
+        .collect()
+}
+
+/// Eq. 9 cost in A/D operations over a count histogram, from its prefix
+/// sums ([`counts_below`]): the R1 window's membership is two lookups.
+fn trq_ops_cost(below: &[u64], params: &TrqParams) -> f64 {
+    let last = below.len() - 1;
+    let n = below[last] as f64;
+    let under = |t: f64| below[(t.ceil().max(0.0) as usize).min(last)] as f64;
+    let in_r1 = under(params.theta_hi()) - under(params.theta_lo());
     params.nu() as f64 * n + in_r1 * params.n_r1() as f64 + (n - in_r1) * params.n_r2() as f64
 }
 
-fn trq_mse(values: &[f64], params: &TrqParams) -> f64 {
+fn trq_mse(counts: &[u64], params: &TrqParams) -> f64 {
     let q = TwinRangeQuantizer::new(*params);
-    quantizer_mse(values, |x| q.quantize(x).value)
+    weighted_quantizer_mse(counts, |x| q.quantize(x).value)
 }
 
 struct Candidate {
@@ -91,9 +102,13 @@ pub fn plan_layer(
     nmax: u32,
     s: &CalibSettings,
 ) -> LayerPlan {
-    let mut sorted = samples.values.clone();
-    sorted.sort_by(f64::total_cmp);
-    let n = sorted.len().max(1) as f64;
+    let counts = samples.hist.counts();
+    debug_assert!(
+        samples.hist.lo() == 0.0 && samples.hist.hi() == counts.len() as f64,
+        "the search reads bin k as count k"
+    );
+    let below = counts_below(counts);
+    let n = samples.hist.count().max(1) as f64;
     let ymax = samples.hist.sample_max().max(0.0);
     let ymin = samples.hist.sample_min().max(0.0);
     let class = DistributionClass::classify(&samples.hist, &s.classifier);
@@ -139,7 +154,7 @@ pub fn plan_layer(
                     let Ok(params) = TrqParams::new(n_r1, n_r2, m, vgrid, bias) else {
                         continue;
                     };
-                    let cost = trq_ops_cost(&sorted, &params);
+                    let cost = trq_ops_cost(&below, &params);
                     if best.as_ref().is_none_or(|b| cost < b.cost) {
                         best = Some(Candidate { params, cost, mse: f64::NAN });
                     }
@@ -154,8 +169,8 @@ pub fn plan_layer(
                 let Ok(params) = TrqParams::new(n_r2, n_r2, m, delta_r1, 0) else {
                     continue;
                 };
-                let mse = trq_mse(&sorted, &params);
-                let cost = trq_ops_cost(&sorted, &params);
+                let mse = trq_mse(counts, &params);
+                let cost = trq_ops_cost(&below, &params);
                 if best.as_ref().is_none_or(|b| mse < b.mse) {
                     best = Some(Candidate { params, cost, mse });
                 }
@@ -163,7 +178,7 @@ pub fn plan_layer(
         }
         if let Some(mut cand) = best {
             if cand.mse.is_nan() {
-                cand.mse = trq_mse(&sorted, &cand.params);
+                cand.mse = trq_mse(counts, &cand.params);
             }
             per_grid_best.push(cand);
         }
@@ -189,7 +204,7 @@ pub fn plan_layer(
         let vgrid = grid_lo + (grid_hi - grid_lo) * k as f64 / (steps - 1) as f64;
         // lint: allow(unwrap): bits and step were validated above
         let q = UniformQuantizer::new(n_r2, vgrid).expect("validated bits/step");
-        let mse = quantizer_mse(&sorted, |x| q.quantize(x));
+        let mse = weighted_quantizer_mse(counts, |x| q.quantize(x));
         if uni_best.is_none_or(|(_, m)| mse < m) {
             uni_best = Some((vgrid, mse));
         }
@@ -227,57 +242,32 @@ pub fn plan_layer(
     }
 }
 
-/// Searches every layer, in parallel on the persistent worker pool.
-///
-/// Layers shard across one fork-join round of [`crate::exec::Pool`]
-/// (strided by participant index, written to per-layer slots), so the
-/// result order — and every plan in it — is identical to the sequential
-/// path for any worker count, and repeated searches reuse the same
-/// parked threads the MVM engines dispatch tiles to.
+/// Searches every layer; a layer search is (rows+1)-bin arithmetic, far
+/// below a millisecond.
 pub fn plan_network(
     samples: &[LayerSamples],
     arch: &ArchConfig,
     nmax: u32,
     settings: &CalibSettings,
 ) -> Vec<LayerPlan> {
-    let threads = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-        .min(8)
-        .min(samples.len().max(1));
-    if samples.len() <= 1 || threads == 1 {
-        return samples.iter().map(|smp| plan_layer(smp, arch, nmax, settings)).collect();
-    }
-    let slots: Vec<std::sync::Mutex<Option<LayerPlan>>> =
-        samples.iter().map(|_| std::sync::Mutex::new(None)).collect();
-    crate::exec::Pool::global().run(threads, &|w| {
-        let mut i = w;
-        while i < samples.len() {
-            let plan = plan_layer(&samples[i], arch, nmax, settings);
-            *slots[i].lock().unwrap_or_else(std::sync::PoisonError::into_inner) = Some(plan);
-            i += threads;
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                // lint: allow(unwrap): the strided loop visits every index
-                .expect("every layer slot filled")
-        })
-        .collect()
+    samples.iter().map(|smp| plan_layer(smp, arch, nmax, settings)).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trq_quant::Histogram;
+    use proptest::collection;
+    use proptest::prelude::*;
+    use trq_quant::{quantizer_mse, Histogram};
 
+    /// The count histogram of `values`, each rounded to its BL count.
     fn samples_from(values: Vec<f64>) -> LayerSamples {
-        let mut hist = Histogram::new(0.0, 129.0, 129).unwrap();
-        hist.extend(values.iter().copied());
-        LayerSamples { mvm_index: 0, label: "l0".into(), seen: values.len() as u64, values, hist }
+        let mut counts = vec![0u64; 129];
+        for v in values {
+            counts[v.round() as usize] += 1;
+        }
+        let hist = Histogram::from_counts(counts).unwrap();
+        LayerSamples { mvm_index: 0, label: "l0".into(), hist }
     }
 
     fn skewed_values() -> Vec<f64> {
@@ -339,16 +329,34 @@ mod tests {
         );
     }
 
-    #[test]
-    fn ops_cost_matches_direct_computation() {
-        let values = skewed_values();
-        let mut sorted = values.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let params = TrqParams::new(3, 7, 2, 1.0, 0).unwrap();
-        let fast = trq_ops_cost(&sorted, &params);
-        let q = TwinRangeQuantizer::new(params);
-        let direct: f64 = values.iter().map(|&v| q.ops_for(v) as f64).sum();
-        assert_eq!(fast, direct);
+    proptest! {
+        #[test]
+        fn ops_cost_matches_direct_computation(
+            counts in collection::vec(0u64..50, 1..130),
+            widths in (1u32..9, 1u32..9, 0u32..8),
+            delta_r1 in 0.05f64..6.0,
+            bias in 0u32..5,
+        ) {
+            prop_assume!(counts.iter().any(|&c| c > 0));
+            let (n_r1, n_r2, m) = widths;
+            let params = TrqParams::new(n_r1, n_r2, m, delta_r1, bias).unwrap();
+            let below = counts_below(&counts);
+            // the per-sample computation on the expanded multiset
+            let expanded: Vec<f64> = counts
+                .iter()
+                .enumerate()
+                .flat_map(|(k, &c)| std::iter::repeat_n(k as f64, c as usize))
+                .collect();
+            let q = TwinRangeQuantizer::new(params);
+            let direct: f64 = expanded.iter().map(|&v| q.ops_for(v) as f64).sum();
+            prop_assert_eq!(trq_ops_cost(&below, &params), direct);
+            let direct_mse = quantizer_mse(&expanded, |x| q.quantize(x).value);
+            let mse = trq_mse(&counts, &params);
+            prop_assert!(
+                (mse - direct_mse).abs() <= 1e-12 * direct_mse.max(1.0),
+                "weighted {mse} vs per-sample {direct_mse}"
+            );
+        }
     }
 
     #[test]
@@ -412,22 +420,5 @@ mod tests {
         let plan = plan_layer(&samples, &ArchConfig::default(), 7, &CalibSettings::default());
         assert_eq!(plan.scheme, AdcScheme::uniform(1, 1.0));
         assert_eq!(plan.mse, 0.0);
-    }
-
-    #[test]
-    fn plan_network_parallel_matches_sequential() {
-        let layer_samples: Vec<LayerSamples> = (0..5)
-            .map(|i| {
-                let mut s = samples_from(skewed_values());
-                s.mvm_index = i;
-                s
-            })
-            .collect();
-        let arch = ArchConfig::default();
-        let settings = CalibSettings { candidates: 10, ..Default::default() };
-        let par = plan_network(&layer_samples, &arch, 6, &settings);
-        let seq: Vec<LayerPlan> =
-            layer_samples.iter().map(|s| plan_layer(s, &arch, 6, &settings)).collect();
-        assert_eq!(par, seq);
     }
 }

@@ -90,15 +90,17 @@ pub fn algorithm1(
     metric: &EvalMetric<'_>,
     settings: &CalibSettings,
 ) -> Result<Algorithm1Result, CalibError> {
-    let reference =
-        evaluate_plan(qnet, arch, &vec![AdcScheme::Ideal; qnet.layers().len()], metric)?;
+    // the reference run finds each input's target class once (the FP32
+    // forwards for a fidelity metric); every later plan is scored on them
+    let ideal = vec![AdcScheme::Ideal; qnet.layers().len()];
+    let (reference, targets) = evaluate::evaluate_against(qnet, arch, &ideal, metric, None)?;
     let mut visited = Vec::new();
     let mut accepted: Option<(Vec<LayerPlan>, u32, f64)> = None;
     let mut nmax = arch.adc_bits.saturating_sub(1).max(1);
     loop {
         let plans = plan_network(samples, arch, nmax, settings);
         let schemes: Vec<AdcScheme> = plans.iter().map(|p| p.scheme).collect();
-        let eval = evaluate_plan(qnet, arch, &schemes, metric)?;
+        let (eval, _) = evaluate::evaluate_against(qnet, arch, &schemes, metric, Some(&targets))?;
         visited.push((nmax, eval.score));
         if reference.score - eval.score > settings.theta {
             break;

@@ -78,7 +78,7 @@ pub fn fig3a(
             Fig3aLayer {
                 label: s.label.clone(),
                 bins: s.hist.counts().to_vec(),
-                seen: s.seen,
+                seen: s.hist.count(),
                 mean: s.hist.mean(),
                 std: s.hist.std(),
                 skewness: s.hist.skewness(),

@@ -6,7 +6,7 @@ use crate::calib::{collect_bl_samples, evaluate_plan, plan_network, CalibError, 
 use crate::experiments::workloads::Workload;
 use crate::pim::{AdcScheme, CollectorConfig, LayerSamples};
 use serde::{Deserialize, Serialize};
-use trq_quant::{quantizer_mse, UniformQuantizer};
+use trq_quant::{weighted_quantizer_mse, UniformQuantizer};
 
 /// One x-axis point of Fig. 6: a configuration and its score.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -58,7 +58,7 @@ pub fn plan_uniform_network(
                 let vgrid = lo + (hi - lo) * k as f64 / (steps - 1) as f64;
                 // lint: allow(unwrap): bits and vgrid were validated above
                 let q = UniformQuantizer::new(bits, vgrid).expect("validated bits");
-                let mse = quantizer_mse(&layer.values, |x| q.quantize(x));
+                let mse = weighted_quantizer_mse(layer.hist.counts(), |x| q.quantize(x));
                 if mse < best.1 {
                     best = (vgrid, mse);
                 }

@@ -52,18 +52,12 @@ use trq_xbar::{
     KernelTier, NoiseModel, WindowOcc,
 };
 
-/// Configuration for bit-line sample collection during calibration runs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CollectorConfig {
-    /// Maximum retained raw samples per layer (deterministic reservoir).
-    pub reservoir_cap: usize,
-}
-
-impl Default for CollectorConfig {
-    fn default() -> Self {
-        CollectorConfig { reservoir_cap: 1 << 15 }
-    }
-}
+/// Configuration for bit-line count collection during calibration runs.
+/// The exact count histogram needs no tuning, so it has no knobs; build it
+/// with `CollectorConfig::default()`.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+#[non_exhaustive]
+pub struct CollectorConfig {}
 
 /// Collected bit-line statistics for one layer — the input to Algorithm 1.
 #[derive(Debug, Clone)]
@@ -72,12 +66,9 @@ pub struct LayerSamples {
     pub mvm_index: usize,
     /// Layer label.
     pub label: String,
-    /// Retained raw BL counts (pos and neg streams interleaved).
-    pub values: Vec<f64>,
-    /// Full histogram over the count domain `[0, S]`.
+    /// Exact histogram over the count domain `[0, S]`: bin `c` holds every
+    /// conversion (pos and neg streams alike) that saw count `c`.
     pub hist: Histogram,
-    /// Total samples seen (may exceed `values.len()`).
-    pub seen: u64,
 }
 
 struct Programmed {
@@ -405,9 +396,8 @@ fn execute_tile(
     }
 }
 
-/// Mixes one more component into a splitmix64 hash chain — the same
-/// finalizer the calibration reservoir uses, applied per key component so
-/// noise draws are a pure function of their slot coordinates.
+/// Mixes one more component into a splitmix64 hash chain, applied per key
+/// component so noise draws are a pure function of their slot coordinates.
 fn mix64(h: u64, v: u64) -> u64 {
     let mut z = h ^ v.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -476,11 +466,11 @@ impl CountNoise {
 /// two back-to-back scalar popcount passes per subarray, then an
 /// element-wise decode of every count — no fusion, no specialisation, no
 /// skipping. Property tests pin the specialised path bit-identical to
-/// this one, values and ledgers. When `on_count` is given (calibration),
-/// every pos/neg BL count of the tile is fed to it in a deterministic
-/// per-tile counts pass. When `noise` is given (device-noise emulation),
-/// each count is perturbed before decode — the ADC digitises the noisy
-/// current; the calibration sink still sees raw counts.
+/// this one, values and ledgers. When `tally` is given (calibration),
+/// every pos/neg BL count of the tile is added to that count histogram.
+/// When `noise` is given (device-noise emulation), each count is perturbed
+/// before decode — the ADC digitises the noisy current; the tally still
+/// sees raw counts.
 #[allow(clippy::too_many_arguments)]
 fn execute_tile_scalar(
     prog: &Programmed,
@@ -491,7 +481,7 @@ fn execute_tile_scalar(
     scratch: &mut TileScratch,
     acc: &mut [i64],
     events: &mut TileEvents,
-    mut on_count: Option<&mut dyn FnMut(u32)>,
+    mut tally: Option<&mut [u64]>,
     noise: Option<&CountNoise>,
 ) {
     debug_assert_eq!(acc.len(), tile.len(), "tile accumulator must match the tile volume");
@@ -544,12 +534,9 @@ fn execute_tile_scalar(
             }
         }
         events.conversions += 2 * volume as u64;
-        if let Some(sink) = on_count.as_deref_mut() {
-            // per-tile counts pass: the collector consumes the raw BL
-            // counts outside the arithmetic loop, pos/neg interleaved
-            for (&cp, &cn) in scratch.counts_pos.iter().zip(scratch.counts_neg.iter()) {
-                sink(cp);
-                sink(cn);
+        if let Some(tally) = tally.as_deref_mut() {
+            for &count in scratch.counts_pos.iter().chain(&scratch.counts_neg) {
+                tally[count as usize] += 1;
             }
         }
     }
@@ -569,8 +556,10 @@ pub struct PimMvm {
     plan: Vec<AdcScheme>,
     programmed: HashMap<usize, Programmed>,
     stats: PimStats,
-    collector: Option<CollectorConfig>,
-    samples: HashMap<usize, LayerSamples>,
+    /// Calibration mode: tally every BL count per layer.
+    collecting: bool,
+    /// Per-layer `(label, count histogram)` tallies of a collector engine.
+    tallies: HashMap<usize, (String, Vec<u64>)>,
     /// Device non-idealities, `None` when ideal — the ideal path never
     /// pays a noise check beyond this `Option` (see
     /// [`PimMvm::with_device_noise`]).
@@ -634,8 +623,8 @@ impl PimMvm {
             plan,
             programmed: HashMap::new(),
             stats: PimStats::default(),
-            collector: None,
-            samples: HashMap::new(),
+            collecting: false,
+            tallies: HashMap::new(),
             noise: None,
             noise_epoch: 0,
             planes: Vec::new(),
@@ -727,13 +716,13 @@ impl PimMvm {
             + self.acc.capacity() * size_of::<i64>()
     }
 
-    /// Creates an engine that additionally collects BL samples per layer
-    /// (calibration mode). The scheme is forced to [`AdcScheme::Ideal`] so
-    /// the collected distribution is the true one, and tiles run serially
-    /// in deterministic order so the retained reservoir is reproducible.
-    pub fn collector(arch: ArchConfig, layers: usize, config: CollectorConfig) -> Self {
+    /// Creates an engine that additionally tallies an exact BL count
+    /// histogram per layer (calibration mode). The scheme is forced to
+    /// [`AdcScheme::Ideal`] so the collected distribution is the true one;
+    /// tiles run on the scalar datapath, which sees every count.
+    pub fn collector(arch: ArchConfig, layers: usize, _config: CollectorConfig) -> Self {
         let mut engine = PimMvm::new(arch, vec![AdcScheme::Ideal; layers]);
-        engine.collector = Some(config);
+        engine.collecting = true;
         engine
     }
 
@@ -868,10 +857,19 @@ impl PimMvm {
         Ok(())
     }
 
-    /// Takes the collected calibration samples, ordered by layer index.
+    /// Takes the collected count histograms, ordered by layer index.
     #[must_use]
     pub fn take_samples(&mut self) -> Vec<LayerSamples> {
-        let mut out: Vec<LayerSamples> = self.samples.drain().map(|(_, v)| v).collect();
+        let mut out: Vec<LayerSamples> = self
+            .tallies
+            .drain()
+            .map(|(mvm_index, (label, counts))| LayerSamples {
+                mvm_index,
+                label,
+                // lint: allow(unwrap): a tally has `rows + 1 >= 1` bins
+                hist: Histogram::from_counts(counts).expect("non-empty count domain"),
+            })
+            .collect();
         out.sort_by_key(|s| s.mvm_index);
         out
     }
@@ -945,43 +943,6 @@ impl PimMvm {
             .scheme_for(info.mvm_index)
             .build_lut(self.arch.xbar.rows as u32, self.arch.adc_bits);
         self.programmed.insert(info.mvm_index, Programmed { subarrays, lut });
-    }
-
-    fn record_sample(
-        samples: &mut HashMap<usize, LayerSamples>,
-        cfg: &CollectorConfig,
-        info: &MvmLayerInfo,
-        max_count: u32,
-        count: u32,
-    ) {
-        let entry = samples.entry(info.mvm_index).or_insert_with(|| LayerSamples {
-            mvm_index: info.mvm_index,
-            label: info.label.clone(),
-            values: Vec::new(),
-            hist: Histogram::new(0.0, (max_count + 1) as f64, (max_count + 1) as usize)
-                // lint: allow(unwrap): `max_count + 1 >= 1` bins, hi > lo
-                .expect("non-empty count domain"),
-            seen: 0,
-        });
-        entry.hist.record(count as f64);
-        entry.seen += 1;
-        if entry.values.len() < cfg.reservoir_cap {
-            entry.values.push(count as f64);
-        } else {
-            // Algorithm R: the incoming sample replaces a uniformly random
-            // reservoir slot with probability cap/seen — drawn as a
-            // uniform slot in [0, seen) from a splitmix64 stream keyed by
-            // the sample ordinal, so collection stays deterministic
-            // without an RNG dependency in the hot path
-            let mut z = entry.seen.wrapping_mul(0x9E3779B97F4A7C15);
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-            z ^= z >> 31;
-            let slot = (z % entry.seen) as usize;
-            if slot < cfg.reservoir_cap {
-                entry.values[slot] = count as f64;
-            }
-        }
     }
 
     /// Folds a tile-local accumulator into the layer accumulator.
@@ -1060,8 +1021,8 @@ impl MvmEngine for PimMvm {
             o0 = o1;
         }
 
-        let threads = if self.collector.is_some() {
-            1 // calibration keeps a deterministic sample order
+        let threads = if self.collecting {
+            1 // the count tally rides the serial round
         } else {
             exec.effective_threads().clamp(1, self.tiles.len().max(1))
         };
@@ -1094,18 +1055,17 @@ impl MvmEngine for PimMvm {
         // Dispatch::Scope keeps the scalar reference datapath end to end
         // (the baseline the specialised kernels are benchmarked and
         // property-tested against); calibration also stays scalar so the
-        // counts pass sees every slot of every tile. Count noise forces
+        // tally sees every slot of every tile. Count noise forces
         // scalar too: the skip kernels fold zero-count conversions in
         // closed form, which would silently bypass the perturbation.
-        let scalar =
-            exec.dispatch == Dispatch::Scope || self.collector.is_some() || count_noise.is_some();
+        let scalar = exec.dispatch == Dispatch::Scope || self.collecting || count_noise.is_some();
         let mut events = TileEvents::default();
         if threads <= 1 {
             // serial round on the calling thread, arena slot 0 (the only
-            // path that may carry the calibration counts sink)
-            let samples = &mut self.samples;
-            let mut sink = self.collector.map(|cfg| {
-                move |count: u32| Self::record_sample(samples, &cfg, info, max_count, count)
+            // path that may carry the calibration count tally)
+            let mut tally = self.collecting.then(|| {
+                let entry = self.tallies.entry(info.mvm_index);
+                entry.or_insert_with(|| (info.label.clone(), vec![0; rows + 1])).1.as_mut_slice()
             });
             let arena = self.arenas[0].get_mut().unwrap_or_else(std::sync::PoisonError::into_inner);
             for &tile in tiles {
@@ -1121,7 +1081,7 @@ impl MvmEngine for PimMvm {
                         &mut arena.scratch,
                         &mut arena.acc_pool,
                         &mut events,
-                        sink.as_mut().map(|f| f as &mut dyn FnMut(u32)),
+                        tally.as_deref_mut(),
                         count_noise.as_ref(),
                     );
                 } else {
@@ -1261,7 +1221,7 @@ impl MvmEngine for PimMvm {
         // warm the executor once per batch: spawn any missing pool
         // workers and size the arena slots, so every layer call of the
         // session dispatches onto already-parked threads
-        if self.collector.is_some() {
+        if self.collecting {
             return;
         }
         let threads = self.arch.exec.effective_threads().max(1);
@@ -1389,16 +1349,14 @@ mod tests {
         let info = info(64, 2);
         let weights: Vec<i32> = (0..64 * 2).map(|i| (i % 5) - 2).collect();
         let cols: Vec<u8> = (0..64 * 4).map(|i| (i % 7) as u8 * 30).collect();
-        let mut pim = PimMvm::collector(arch, 1, CollectorConfig { reservoir_cap: 512 });
+        let mut pim = PimMvm::collector(arch, 1, CollectorConfig::default());
         let _ = pim.mvm(&info, &weights, &cols, 4);
         let samples = pim.take_samples();
         assert_eq!(samples.len(), 1);
         let s = &samples[0];
-        assert!(s.seen > 0);
-        assert!(!s.values.is_empty());
-        assert!(s.values.len() <= 512);
-        assert_eq!(s.hist.count(), s.seen);
-        // BL counts are bounded by the array rows
+        assert!(s.hist.count() > 0);
+        // one bin per possible count, and BL counts are bounded by the rows
+        assert_eq!(s.hist.counts().len(), 129);
         assert!(s.hist.sample_max() <= 128.0);
     }
 
@@ -1410,37 +1368,38 @@ mod tests {
         let weights: Vec<i32> = (0..96 * 3).map(|i: i32| (i % 9) - 4).collect();
         let cols: Vec<u8> = (0..96 * 5).map(|i| (i % 11) as u8 * 20).collect();
         let run = |arch: &ArchConfig| {
-            let mut pim = PimMvm::collector(*arch, 1, CollectorConfig { reservoir_cap: 64 });
+            let mut pim = PimMvm::collector(*arch, 1, CollectorConfig::default());
             let _ = pim.mvm(&info, &weights, &cols, 5);
             pim.take_samples()
         };
-        let a = run(&arch);
-        let b = run(&arch);
-        assert_eq!(a[0].values, b[0].values, "reservoir must be reproducible");
-        assert_eq!(a[0].seen, b[0].seen);
+        assert_eq!(run(&arch)[0].hist, run(&arch)[0].hist, "histogram must be reproducible");
     }
 
     #[test]
-    fn reservoir_replacement_covers_all_slots_uniformly() {
-        // Algorithm R with cap ≪ seen: every slot must remain reachable
-        // and the retained values must span the late part of the stream
+    fn collector_histogram_totals_match_conversions() {
+        // two layers, the first called twice: each layer's histogram holds
+        // exactly the conversions its ledger counts, across calls
         let arch = arch();
-        let info = info(128, 4);
-        let weights: Vec<i32> = (0..128 * 4).map(|i: i32| ((i * 7) % 255) - 127).collect();
-        let cols: Vec<u8> = (0..128 * 8).map(|i| ((i * 13) % 256) as u8).collect();
-        let mut pim = PimMvm::collector(arch, 1, CollectorConfig { reservoir_cap: 32 });
-        let _ = pim.mvm(&info, &weights, &cols, 8);
-        let samples = pim.take_samples();
-        let s = &samples[0];
-        assert_eq!(s.values.len(), 32);
-        assert!(s.seen > 1000, "stream must be far longer than the reservoir: {}", s.seen);
-        // acceptance rate after the fill phase must be ≈ cap/seen, which
-        // for a long stream means *some* but not most slots got replaced —
-        // a constant-slot bug would either freeze the reservoir at the
-        // first 32 samples or churn a single slot only
-        let distinct: std::collections::HashSet<u64> =
-            s.values.iter().map(|v| v.to_bits()).collect();
-        assert!(distinct.len() > 2, "reservoir collapsed: {:?}", s.values);
+        let layers = [info(150, 4), MvmLayerInfo { mvm_index: 1, ..info(40, 3) }];
+        let run = || {
+            let mut pim = PimMvm::collector(arch, 2, CollectorConfig::default());
+            for (call, layer) in [&layers[0], &layers[1], &layers[0]].into_iter().enumerate() {
+                let weights: Vec<i32> =
+                    (0..layer.depth * layer.outputs).map(|i| (i as i32 * 7 % 255) - 127).collect();
+                let cols: Vec<u8> =
+                    (0..layer.depth * 6).map(|i| ((i * 13 + call) % 256) as u8).collect();
+                let _ = pim.mvm(layer, &weights, &cols, 6);
+            }
+            let samples = pim.take_samples();
+            assert_eq!(samples.len(), pim.stats().layers.len());
+            for (s, l) in samples.iter().zip(&pim.stats().layers) {
+                assert_eq!(s.hist.count(), l.conversions, "layer {}", s.label);
+            }
+            samples.into_iter().map(|s| s.hist).collect::<Vec<_>>()
+        };
+        let first = run();
+        assert_eq!(first.len(), 2);
+        assert_eq!(first, run(), "histograms must repeat across runs");
     }
 
     #[test]

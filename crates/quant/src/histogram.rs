@@ -67,6 +67,35 @@ impl Histogram {
         Ok(h)
     }
 
+    /// Builds the histogram of an integer count population: bin `k` holds
+    /// `counts[k]` samples of value `k`, over `[0, counts.len())` with unit
+    /// bins. The moments are integer sums taken from the bins, so they are
+    /// the `f64`s that recording every sample in turn gives while those
+    /// sums stay below 2^53.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`QuantError::BadHistogram`] when `counts` is empty.
+    pub fn from_counts(counts: Vec<u64>) -> Result<Self, QuantError> {
+        let mut h = Histogram::new(0.0, counts.len() as f64, counts.len())?;
+        let (mut sum, mut sum_sq, mut sum_cu) = (0u128, 0u128, 0u128);
+        for (k, &c) in counts.iter().enumerate() {
+            let (k, c) = (k as u128, c as u128);
+            sum += c * k;
+            sum_sq += c * k * k;
+            sum_cu += c * k * k * k;
+        }
+        h.n = counts.iter().sum();
+        (h.sum, h.sum_sq, h.sum_cu) = (sum as f64, sum_sq as f64, sum_cu as f64);
+        if let Some(lo) = counts.iter().position(|&c| c > 0) {
+            h.min = lo as f64;
+            // lint: allow(unwrap): an occupied bin exists, found just above
+            h.max = counts.iter().rposition(|&c| c > 0).expect("occupied bin") as f64;
+        }
+        h.counts = counts;
+        Ok(h)
+    }
+
     /// Records a sample; values outside the range clamp to the edge bins.
     pub fn record(&mut self, x: f64) {
         if !x.is_finite() {
@@ -359,6 +388,21 @@ mod tests {
         let mut a = Histogram::new(0.0, 10.0, 10).unwrap();
         let b = Histogram::new(0.0, 10.0, 20).unwrap();
         a.merge(&b);
+    }
+
+    #[test]
+    fn from_counts_equals_recording_every_sample() {
+        let counts = vec![5u64, 0, 3, 0, 0, 1, 2];
+        let mut recorded = Histogram::new(0.0, 7.0, 7).unwrap();
+        for (k, &c) in counts.iter().enumerate() {
+            recorded.extend(std::iter::repeat_n(k as f64, c as usize));
+        }
+        assert_eq!(Histogram::from_counts(counts).unwrap(), recorded);
+        assert_eq!(
+            Histogram::from_counts(vec![0; 4]).unwrap(),
+            Histogram::new(0.0, 4.0, 4).unwrap()
+        );
+        assert!(Histogram::from_counts(Vec::new()).is_err());
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub use code::TrqCode;
 pub use distribution::{ClassifierConfig, DistributionClass};
 pub use error::QuantError;
 pub use histogram::Histogram;
-pub use mse::{mse, quantizer_mse, sqnr_db};
+pub use mse::{mse, quantizer_mse, sqnr_db, weighted_quantizer_mse};
 pub use ptq::{symmetric_scale, SymmetricQuant};
 pub use trq::{Range, TrqParams, TrqValue, TwinRangeQuantizer};
 pub use uniform::UniformQuantizer;

@@ -23,6 +23,23 @@ pub fn quantizer_mse<F: Fn(f64) -> f64>(samples: &[f64], quantize: F) -> f64 {
         / samples.len() as f64
 }
 
+/// [`quantizer_mse`] over a count histogram, where `counts[k]` samples
+/// have value `k`: one quantizer call per occupied bin instead of one per
+/// sample. Algorithm 1 scores every candidate this way.
+///
+/// # Panics
+///
+/// Panics when the histogram holds no samples.
+pub fn weighted_quantizer_mse<F: Fn(f64) -> f64>(counts: &[u64], quantize: F) -> f64 {
+    let n: u64 = counts.iter().sum();
+    assert!(n > 0, "weighted_quantizer_mse of an empty histogram is undefined");
+    let sq_err = |(k, &c): (usize, &u64)| {
+        let err = quantize(k as f64) - k as f64;
+        c as f64 * (err * err)
+    };
+    counts.iter().enumerate().filter(|(_, &c)| c > 0).map(sq_err).sum::<f64>() / n as f64
+}
+
 /// Signal-to-quantization-noise ratio in dB; `+inf` for exact
 /// reconstruction of a non-zero signal.
 ///
@@ -43,6 +60,8 @@ pub fn sqnr_db(signal: &[f64], reconstructed: &[f64]) -> f64 {
 mod tests {
     use super::*;
     use crate::UniformQuantizer;
+    use proptest::collection;
+    use proptest::prelude::*;
 
     #[test]
     fn mse_basic() {
@@ -68,6 +87,29 @@ mod tests {
             .collect();
         for w in errs.windows(2) {
             assert!(w[1] < w[0], "more bits must not increase MSE: {errs:?}");
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn weighted_mse_equals_mse_of_the_expanded_samples(
+            counts in collection::vec(0u64..40, 1..130),
+            bits in 1u32..8,
+            delta in 0.05f64..9.0,
+        ) {
+            prop_assume!(counts.iter().any(|&c| c > 0));
+            let q = UniformQuantizer::new(bits, delta).unwrap();
+            let expanded: Vec<f64> = counts
+                .iter()
+                .enumerate()
+                .flat_map(|(k, &c)| std::iter::repeat_n(k as f64, c as usize))
+                .collect();
+            let direct = quantizer_mse(&expanded, |x| q.quantize(x));
+            let weighted = weighted_quantizer_mse(&counts, |x| q.quantize(x));
+            prop_assert!(
+                (weighted - direct).abs() <= 1e-12 * direct.max(1.0),
+                "weighted {weighted} vs per-sample {direct}"
+            );
         }
     }
 

@@ -338,11 +338,16 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<ModelSnapshot, StoreError> {
     let payload_len = u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes"));
     // lint: allow(unwrap): literal-width slices — try_into cannot fail
     let checksum = u64::from_le_bytes(bytes[20..28].try_into().expect("8 bytes"));
-    let expected = HEADER_LEN as u64 + payload_len;
-    if (bytes.len() as u64) < expected {
-        return Err(StoreError::Truncated { expected, got: bytes.len() as u64 });
-    }
-    let payload = &bytes[HEADER_LEN..HEADER_LEN + payload_len as usize];
+    // a hostile length can exceed every file and wrap the sum: checked,
+    // so it is a truncation like any other
+    let got_len = bytes.len() as u64;
+    let Some(end) = (HEADER_LEN as u64).checked_add(payload_len).filter(|&end| end <= got_len)
+    else {
+        let expected = (HEADER_LEN as u64).saturating_add(payload_len);
+        return Err(StoreError::Truncated { expected, got: got_len });
+    };
+    // `end <= bytes.len()`, so it fits a usize
+    let payload = &bytes[HEADER_LEN..end as usize];
     let got = fnv1a64(payload);
     if got != checksum {
         return Err(StoreError::ChecksumMismatch { expected: checksum, got });
@@ -475,5 +480,19 @@ mod tests {
         assert!(matches!(decode_snapshot(b"TRQSTOR"), Err(StoreError::Truncated { .. })));
         assert!(matches!(decode_snapshot(b"NOTASNAP"), Err(StoreError::BadMagic)));
         assert!(matches!(decode_snapshot(b""), Err(StoreError::Truncated { .. })));
+    }
+
+    #[test]
+    fn payload_length_that_wraps_the_end_offset_is_truncated() {
+        // payload_len = 2^64 - 28, so HEADER_LEN + payload_len wraps to 0
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+        bytes.extend_from_slice(&(u64::MAX - 27).to_le_bytes());
+        bytes.extend_from_slice(&0u64.to_le_bytes());
+        bytes.extend_from_slice(b"{}");
+        match decode_snapshot(&bytes) {
+            Err(StoreError::Truncated { expected: u64::MAX, got: 30 }) => {}
+            other => panic!("expected a typed truncation, got {other:?}"),
+        }
     }
 }

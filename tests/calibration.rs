@@ -5,7 +5,7 @@
 use trq::core::arch::ArchConfig;
 use trq::core::calib::{collect_bl_samples, plan_network, CalibSettings};
 use trq::core::experiments::{SuiteConfig, Workload};
-use trq::core::pim::{AdcScheme, CollectorConfig};
+use trq::core::pim::{AdcScheme, CollectorConfig, PimMvm};
 
 #[test]
 fn calibration_is_deterministic() {
@@ -81,21 +81,22 @@ fn mse_grows_as_bits_shrink() {
 }
 
 #[test]
-fn collector_reservoirs_are_bounded() {
+fn collector_histograms_total_the_conversions() {
     let w = Workload::lenet5(&SuiteConfig::quick());
     let arch = ArchConfig::default();
-    let cap = 1024usize;
-    let samples = collect_bl_samples(
-        &w.qnet,
-        &arch,
-        &w.cal_images[..2],
-        CollectorConfig { reservoir_cap: cap },
-    )
-    .unwrap();
-    for s in &samples {
-        assert!(s.values.len() <= cap, "{} reservoir overflowed: {}", s.label, s.values.len());
-        assert!(s.seen >= s.values.len() as u64);
-        // histogram sees everything, reservoir is a subset
-        assert_eq!(s.hist.count(), s.seen);
+    let images = &w.cal_images[..2];
+    let mut engine = PimMvm::collector(arch, w.qnet.layers().len(), CollectorConfig::default());
+    w.qnet.forward_batch(images, &mut engine).unwrap();
+    let samples = engine.take_samples();
+    let ledger = &engine.stats().layers;
+    assert_eq!(samples.len(), ledger.len());
+    for (s, l) in samples.iter().zip(ledger) {
+        // one bin per possible count, and every conversion in one of them
+        assert_eq!(s.hist.counts().len(), arch.xbar.rows + 1);
+        assert_eq!(s.hist.count(), l.conversions, "{}", s.label);
+    }
+    let again = collect_bl_samples(&w.qnet, &arch, images, CollectorConfig::default()).unwrap();
+    for (a, b) in samples.iter().zip(&again) {
+        assert_eq!(a.hist, b.hist, "{}: collection must repeat exactly", a.label);
     }
 }
