@@ -4,11 +4,15 @@
 //! plus AVX-512/AVX2/NEON lanes where detected), across the
 //! monomorphised column word counts (wpc 1/2/4 and the Harley–Seal
 //! generic path), plus the skip-enabled sparse cases at both plane and
-//! window-block granularity.
+//! window-block granularity, and the conversion decode that follows the
+//! kernel (segment walk on every tier, register table on AVX-512).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use trq_xbar::{mvm_diff_tile_into, BitMatrix, ColMask, KernelTier, WindowOcc, WINDOW_BLOCK};
+use trq_xbar::{
+    decode_diff_tile_into, mvm_diff_tile_into, BitMatrix, ColMask, DecodeTable, KernelTier,
+    WindowOcc, WINDOW_BLOCK,
+};
 
 fn matrix(rows: usize, cols: usize, seed: u64, density_pct: u64) -> BitMatrix {
     let mut m = BitMatrix::zeros(rows, cols);
@@ -161,6 +165,54 @@ fn bench_kernel_paths(c: &mut Criterion) {
                 })
             });
         }
+    }
+
+    // the conversion decode of one 128-row tile (16 outputs × 8 slices ×
+    // 8 planes × 64 windows) on every tier: the segment walk, and on
+    // AVX-512 the register-table path
+    let (outputs, slices, windows) = (16usize, 8usize, 64usize);
+    let cols = outputs * slices;
+    let entries: Vec<u32> =
+        (0..=128u32).map(|c| (c / 2) | if c < 16 { 4 << 24 } else { 7 << 24 }).collect();
+    let table = DecodeTable::new(entries, n_planes, slices);
+    let planes: Vec<BitMatrix> =
+        (0..n_planes).map(|p| matrix(128, windows, 40 + p as u64, 30)).collect();
+    let occ = WindowOcc::of_planes(&planes);
+    let (pos, neg) = (matrix(128, cols, 41, 20), matrix(128, cols, 42, 20));
+    let (pos_live, neg_live) = (ColMask::of(&pos), ColMask::of(&neg));
+    let volume = n_planes * cols * windows;
+    let (mut counts_pos, mut counts_neg) = (vec![0u32; volume], vec![0u32; volume]);
+    mvm_diff_tile_into(
+        KernelTier::Scalar,
+        &pos,
+        &neg,
+        &planes,
+        &occ,
+        &pos_live,
+        &neg_live,
+        0..cols,
+        0..windows,
+        &mut counts_pos,
+        &mut counts_neg,
+    );
+    let mut acc = vec![0i64; outputs * windows];
+    for tier in host_tiers() {
+        group.bench_function(&format!("decode_{}_r128", tier.name()), |b| {
+            b.iter(|| {
+                black_box(decode_diff_tile_into(
+                    tier,
+                    black_box(&table),
+                    &occ,
+                    &pos_live,
+                    &neg_live,
+                    0..cols,
+                    0..windows,
+                    &counts_pos,
+                    &counts_neg,
+                    &mut acc,
+                ))
+            })
+        });
     }
     group.finish();
 }

@@ -70,8 +70,8 @@ pub struct ExecConfig {
     /// Whether the kernel may skip dead window *blocks* inside a live
     /// subarray using the per-block occupancy that
     /// [`trq_xbar::pack_window_planes`] records (on by default). `false`
-    /// degrades skipping to the PR 4 plane/subarray granularity — the
-    /// baseline `bench_kernel` measures block skipping against. Results
+    /// degrades skipping to plane/subarray granularity — the baseline the
+    /// block-skip equivalence tests run against. Results
     /// and event ledgers are bit-identical either way: skipped windows
     /// have count 0 by construction and their conversions are folded in
     /// closed form.

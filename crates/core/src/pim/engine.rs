@@ -5,26 +5,37 @@
 //! 1. **program** — on first sight of a layer, split its weights into
 //!    sign-magnitude bit slices on differential subarray pairs and build
 //!    the per-count conversion LUT once (stored with the programmed layer,
-//!    never rebuilt or cloned per call);
+//!    never rebuilt or cloned per call). The LUT is a
+//!    [`trq_xbar::DecodeTable`] for the layer's bit-plane × slice
+//!    geometry, which also decides here whether the layer qualifies for
+//!    the register-table decode;
 //! 2. **execute** — pack all `input_bits` bit-planes of the window batch
 //!    in one pass over the activation codes (scratch `BitMatrix` buffers
 //!    reused across calls, live-plane and per-window-block occupancy
 //!    recorded as a side effect), then run (output-block × window-block)
-//!    tiles through the **specialised kernel layer**
-//!    (`trq_xbar::mvm_diff_tile_into`): a fused differential popcount —
-//!    each plane word loaded once for both subarray sides, monomorphised
-//!    per column word count with 4-wide window unrolling, on the
-//!    [`KernelTier`] resolved once at engine construction (AVX-512 /
-//!    AVX2 / NEON popcount lanes or the portable scalar paths, all
-//!    bit-identical) — plus sparsity-aware skipping of all-zero input
-//!    bit-planes, all-zero weight slice columns, and dead window blocks
-//!    inside live subarrays, whose count-0 conversions fold into the
-//!    event ledger in closed form. The decode reads one packed LUT entry
-//!    per conversion. Subarrays and bit-planes are looped *inside* each
-//!    tile, so every tile owns a disjoint region of the accumulator and
-//!    tiles run on any number of worker threads with bit-identical
-//!    results. [`crate::arch::Dispatch::Scope`] keeps the pre-kernel
-//!    scalar datapath end to end as the pinned reference;
+//!    tiles. Per subarray, a tile makes two calls into the **kernel
+//!    layer**, both on the [`KernelTier`] resolved once at engine
+//!    construction:
+//!    - `trq_xbar::mvm_diff_tile_into`, the fused differential popcount —
+//!      each plane word loaded once for both subarray sides,
+//!      monomorphised per column word count, on AVX-512 / AVX2 / NEON
+//!      popcount lanes or the portable scalar paths;
+//!    - `trq_xbar::decode_diff_tile_into`, the conversion decode — every
+//!      count through the packed LUT and shift-added into the tile
+//!      accumulator, with the ops / `max_count` ledger. On AVX-512,
+//!      eligible layers (arrays of at most 128 rows whose output rows fit
+//!      an `i32`; the paper's 128-row arrays qualify) decode 16 windows
+//!      of an output row at a time from a LUT held in vector registers;
+//!      every other tier and layer walks each row's live window runs.
+//!
+//!    Both skip all-zero input bit-planes, all-zero weight slice columns,
+//!    and dead window blocks inside live subarrays; those count-0
+//!    conversions fold into the event ledger in closed form. Every tier
+//!    and path is bit-identical. Subarrays and bit-planes are looped
+//!    *inside* each tile, so every tile owns a disjoint region of the
+//!    accumulator and tiles run on any number of worker threads with
+//!    bit-identical results. [`crate::arch::Dispatch::Scope`] keeps the
+//!    pre-kernel scalar datapath end to end as the pinned reference;
 //! 3. **account** — merge per-worker event tallies into the layer's
 //!    [`PimStats`] and scale the integer accumulator into code units.
 //!
@@ -34,7 +45,7 @@
 //! event tallies allocated once and reused — so the steady-state forward
 //! path performs zero heap allocations (asserted in
 //! `crates/core/tests/alloc_free.rs`). [`crate::arch::Dispatch::Scope`]
-//! keeps the PR 2 per-call `std::thread::scope` behaviour as the
+//! keeps the per-call `std::thread::scope` behaviour as the
 //! dispatch-overhead baseline; both modes are bit-identical.
 
 use crate::arch::{ArchConfig, Dispatch};
@@ -48,8 +59,8 @@ use std::sync::Mutex;
 use trq_nn::{MvmEngine, MvmLayerInfo};
 use trq_quant::Histogram;
 use trq_xbar::{
-    mvm_diff_tile_into, pack_window_planes, resolve_kernel, BitMatrix, ColMask, KernelConfigError,
-    KernelTier, NoiseModel, WindowOcc,
+    decode_diff_tile_into, mvm_diff_tile_into, pack_window_planes, resolve_kernel, BitMatrix,
+    ColMask, KernelConfigError, KernelTier, NoiseModel, WindowOcc,
 };
 
 /// Configuration for bit-line count collection during calibration runs.
@@ -246,23 +257,24 @@ fn prepare_counts(scratch: &mut TileScratch, volume: usize) {
     }
 }
 
-/// Executes one tile on the **specialised kernel path**: one fused
-/// differential popcount pass per (subarray × live bit-plane) — each input
-/// plane word loaded once for both subarray sides, on the engine's
-/// resolved [`KernelTier`] (scalar or SIMD lanes, bit-identical) — then a
-/// packed-LUT decode and shift-add into the tile-local accumulator `acc`
-/// (length `tile.len()`, zeroed by the caller).
+/// Executes one tile on the **specialised kernel path**: per subarray,
+/// one fused differential popcount pass over every live bit-plane — each
+/// input plane word loaded once for both subarray sides — then one call
+/// of the conversion decode primitive, which digitises every count
+/// through the layer's packed LUT and shift-adds it into the tile-local
+/// accumulator `acc` (length `tile.len()`, zeroed by the caller). Both
+/// stages run on the engine's resolved [`KernelTier`]: on AVX-512 the
+/// decode of register-eligible layers reads the LUT from vector
+/// registers, 16 windows at a time; every other tier and layer walks the
+/// rows' live window runs. All paths are bit-identical.
 ///
 /// Sparsity-aware skipping: all-zero input bit-planes, dead window
 /// *blocks* inside live planes (both from the subarray's [`WindowOcc`]),
 /// and all-zero weight slice columns (the subarray's [`ColMask`]s) are
-/// skipped arithmetically — in the kernel and in the decode alike. Their
-/// counts are 0 by construction, so the accumulator contribution cancels
-/// exactly and the count-0 conversions fold into the event ledger in
-/// closed form — `PimStats` stays bit-identical to the dense path. Rows
-/// whose tile window range is fully live (the common dense case, and
-/// everything when `block_skip` is off) take a no-segmentation fast path
-/// identical to the pre-block-skip decode.
+/// skipped in the kernel and never read by the decode. Their counts are 0
+/// by construction, so the accumulator contribution cancels exactly and
+/// the count-0 conversions fold into the event ledger in closed form —
+/// `PimStats` stays bit-identical to the dense path.
 #[allow(clippy::too_many_arguments)]
 fn execute_tile(
     prog: &Programmed,
@@ -277,118 +289,37 @@ fn execute_tile(
     events: &mut TileEvents,
 ) {
     debug_assert_eq!(acc.len(), tile.len(), "tile accumulator must match the tile volume");
-    let nc = (tile.o1 - tile.o0) * wbits;
-    let nw = tile.w1 - tile.w0;
-    let volume = ibits * nc * nw;
-    let entries = prog.lut.entries();
-    let e0 = entries[0];
-    let ops0 = (e0 >> Lut::OPS_SHIFT) as u64;
-    let lsb0 = (e0 & Lut::LSB_MASK) as i64;
+    let (cols, windows) = (tile.o0 * wbits..tile.o1 * wbits, tile.w0..tile.w1);
+    let volume = ibits * cols.len() * windows.len();
     prepare_counts(scratch, volume);
     for (s, sub) in prog.subarrays.iter().enumerate() {
-        let socc = &occ[s];
         mvm_diff_tile_into(
             tier,
             &sub.pos,
             &sub.neg,
             &planes[s],
-            socc,
+            &occ[s],
             &sub.pos_live,
             &sub.neg_live,
-            tile.o0 * wbits..tile.o1 * wbits,
-            tile.w0..tile.w1,
+            cols.clone(),
+            windows.clone(),
             &mut scratch.counts_pos,
             &mut scratch.counts_neg,
         );
-        for c in 0..ibits {
-            let plane_dead = !socc.plane_live(c);
-            // fully-live rows (the dense common case) skip segmentation
-            // entirely — one run over the whole window range, exactly the
-            // pre-block-skip decode
-            let fully = !plane_dead && socc.range_fully_live(c, tile.w0, tile.w1);
-            for oc in 0..nc {
-                let col = tile.o0 * wbits + oc;
-                let (o_local, alpha) = (oc / wbits, oc % wbits);
-                let shift = (alpha + c) as u32;
-                let (pl, nl) = (sub.pos_live.is_live(col), sub.neg_live.is_live(col));
-                if plane_dead || (!pl && !nl) {
-                    // skipped row: every count is 0 by construction —
-                    // max_count is unaffected, the decoded difference is
-                    // exactly 0, and the conversions cost `ops0` each
-                    events.ops += 2 * ops0 * nw as u64;
-                    continue;
-                }
-                let base = (c * nc + oc) * nw;
-                let arow = &mut acc[o_local * nw..(o_local + 1) * nw];
-                // the dead differential side of a single-sided row costs
-                // `ops0` per window over the whole range, live blocks or
-                // not — its counts are 0 everywhere
-                if pl != nl {
-                    events.ops += ops0 * nw as u64;
-                }
-                // walk the row as maximal same-liveness window runs; a
-                // dead run's conversions fold in closed form (count 0 ⇒
-                // decoded contribution 0, `ops0` per conversion)
-                let mut w = tile.w0;
-                while w < tile.w1 {
-                    let (we, seg_live) =
-                        if fully { (tile.w1, true) } else { socc.next_segment(c, w, tile.w1) };
-                    let (lo, len) = (w - tile.w0, we - w);
-                    w = we;
-                    if !seg_live {
-                        let sides = if pl && nl { 2 } else { 1 };
-                        events.ops += sides * ops0 * len as u64;
-                        continue;
-                    }
-                    let aseg = &mut arow[lo..lo + len];
-                    match (pl, nl) {
-                        (true, true) => {
-                            let cps = &scratch.counts_pos[base + lo..base + lo + len];
-                            let cns = &scratch.counts_neg[base + lo..base + lo + len];
-                            for ((a, &cp), &cn) in aseg.iter_mut().zip(cps).zip(cns) {
-                                debug_assert!(
-                                    cp != COUNT_POISON && cn != COUNT_POISON,
-                                    "kernel must write every live slot"
-                                );
-                                events.max_count = events.max_count.max(cp).max(cn);
-                                let (ep, en) = (entries[cp as usize], entries[cn as usize]);
-                                events.ops +=
-                                    ((ep >> Lut::OPS_SHIFT) + (en >> Lut::OPS_SHIFT)) as u64;
-                                *a += ((ep & Lut::LSB_MASK) as i64 - (en & Lut::LSB_MASK) as i64)
-                                    << shift;
-                            }
-                        }
-                        (true, false) => {
-                            let cps = &scratch.counts_pos[base + lo..base + lo + len];
-                            for (a, &cp) in aseg.iter_mut().zip(cps) {
-                                debug_assert!(
-                                    cp != COUNT_POISON,
-                                    "kernel must write every live slot"
-                                );
-                                events.max_count = events.max_count.max(cp);
-                                let ep = entries[cp as usize];
-                                events.ops += (ep >> Lut::OPS_SHIFT) as u64;
-                                *a += ((ep & Lut::LSB_MASK) as i64 - lsb0) << shift;
-                            }
-                        }
-                        (false, true) => {
-                            let cns = &scratch.counts_neg[base + lo..base + lo + len];
-                            for (a, &cn) in aseg.iter_mut().zip(cns) {
-                                debug_assert!(
-                                    cn != COUNT_POISON,
-                                    "kernel must write every live slot"
-                                );
-                                events.max_count = events.max_count.max(cn);
-                                let en = entries[cn as usize];
-                                events.ops += (en >> Lut::OPS_SHIFT) as u64;
-                                *a += (lsb0 - (en & Lut::LSB_MASK) as i64) << shift;
-                            }
-                        }
-                        (false, false) => unreachable!(),
-                    }
-                }
-            }
-        }
+        let tally = decode_diff_tile_into(
+            tier,
+            prog.lut.table(),
+            &occ[s],
+            &sub.pos_live,
+            &sub.neg_live,
+            cols.clone(),
+            windows.clone(),
+            &scratch.counts_pos,
+            &scratch.counts_neg,
+            acc,
+        );
+        events.ops += tally.ops;
+        events.max_count = events.max_count.max(tally.max_count);
         events.conversions += 2 * volume as u64;
     }
     for &v in acc.iter() {
@@ -851,7 +782,7 @@ impl PimMvm {
                     neg_live: s.neg_live,
                 })
                 .collect();
-            let lut = Lut::from_parts(state.lut_entries, state.lut_delta);
+            let lut = Lut::from_parts(state.lut_entries, state.lut_delta, &self.arch);
             self.programmed.insert(state.mvm_index, Programmed { subarrays, lut });
         }
         Ok(())
@@ -939,9 +870,7 @@ impl PimMvm {
             let (pos_live, neg_live) = (ColMask::of(&pos), ColMask::of(&neg));
             subarrays.push(DiffSubarray { pos, neg, pos_live, neg_live });
         }
-        let lut = self
-            .scheme_for(info.mvm_index)
-            .build_lut(self.arch.xbar.rows as u32, self.arch.adc_bits);
+        let lut = self.scheme_for(info.mvm_index).build_lut(&self.arch);
         self.programmed.insert(info.mvm_index, Programmed { subarrays, lut });
     }
 

@@ -110,23 +110,41 @@ fn cols_for(mode: usize, len: usize, seed: u64) -> Vec<u8> {
         .collect()
 }
 
+/// The ADC schemes the equivalence sweep draws from: the ideal identity,
+/// TRQ as the paper calibrates it, serve-mlp's uniform plan and a coarser
+/// uniform grid, TRQ with a floating window (bias 2), and TRQ whose R2
+/// magnitudes reach 255 << 8 — past the `i32` row bound of the
+/// register-table decode, so it pins the segment-walk fallback.
+fn scheme(sel: usize) -> AdcScheme {
+    match sel {
+        0 => AdcScheme::Ideal,
+        1 => AdcScheme::Trq(TrqParams::new(3, 7, 1, 1.0, 0).unwrap()),
+        2 => AdcScheme::uniform(6, 0.7),
+        3 => AdcScheme::uniform(5, 3.7),
+        4 => AdcScheme::Trq(TrqParams::new(3, 5, 2, 0.9, 2).unwrap()),
+        _ => AdcScheme::Trq(TrqParams::new(2, 8, 8, 0.001, 0).unwrap()),
+    }
+}
+
 proptest! {
-    /// For every column word count (wpc 1, 2, 4, generic) and every
-    /// weight/activation sparsity shape, the specialised path (Pool
-    /// dispatch) must match the scalar reference path (Scope dispatch)
-    /// exactly — outputs and ledgers — serially and multi-threaded, and
-    /// match [`ExactMvm`] under the ideal scheme.
+    /// For every column word count (wpc 1, 2, 4, generic), every ADC
+    /// scheme and every weight/activation sparsity shape, the specialised
+    /// path (Pool dispatch) must match the scalar reference path (Scope
+    /// dispatch) exactly — outputs and ledgers — serially and
+    /// multi-threaded, and match [`ExactMvm`] under the ideal scheme.
+    /// Window counts up to 70 with tiles up to the default 64 windows fill
+    /// whole 16-lane decode chunks as well as ragged tails.
     #[test]
     fn specialized_path_is_bit_identical_to_scalar_reference(
         rows_sel in 0usize..4,
         depth in 1usize..350,
         outputs in 1usize..5,
-        n in 1usize..6,
+        n in 1usize..71,
         tile_outputs in 1usize..4,
-        tile_windows in 1usize..4,
+        tile_windows in 0usize..65,
         weight_mode in 0usize..4,
         act_mode in 0usize..3,
-        ideal in proptest::bool::ANY,
+        scheme_sel in 0usize..6,
         seed in 0u64..1_000_000,
     ) {
         // wpc 1 (ragged 40 rows), 2 (the paper's 128), 4 (256), 5 (generic)
@@ -134,9 +152,9 @@ proptest! {
         let weights = weights_for(weight_mode, depth, outputs, seed);
         let cols = cols_for(act_mode, depth * n, seed);
         let info = layer(depth, outputs);
-        let params = TrqParams::new(3, 7, 1, 1.0, 0).unwrap();
-        let scheme = if ideal { AdcScheme::Ideal } else { AdcScheme::Trq(params) };
+        let scheme = scheme(scheme_sel);
 
+        // tile_windows 0 is the engine default (64 windows)
         let exec = ExecConfig::serial()
             .with_tile_outputs(tile_outputs)
             .with_tile_windows(tile_windows);
@@ -156,18 +174,20 @@ proptest! {
                 let got = pim.mvm(&info, &weights, &cols, n);
                 prop_assert_eq!(
                     &got, &want,
-                    "kernel path diverged: rows {} tier {} threads {} wmode {} amode {} \
-                     shape ({}, {}, {})",
-                    rows, tier.name(), threads, weight_mode, act_mode, depth, outputs, n
+                    "kernel path diverged: rows {} tier {} threads {} scheme {:?} wmode {} \
+                     amode {} shape ({}, {}, {}) tile_windows {}",
+                    rows, tier.name(), threads, scheme, weight_mode, act_mode, depth, outputs, n,
+                    tile_windows
                 );
                 prop_assert_eq!(
                     pim.stats(), reference.stats(),
-                    "event ledgers diverged: rows {} tier {} threads {} wmode {} amode {}",
-                    rows, tier.name(), threads, weight_mode, act_mode
+                    "event ledgers diverged: rows {} tier {} threads {} scheme {:?} wmode {} \
+                     amode {}",
+                    rows, tier.name(), threads, scheme, weight_mode, act_mode
                 );
             }
         }
-        if ideal {
+        if scheme_sel == 0 {
             let exact = ExactMvm.mvm(&info, &weights, &cols, n);
             prop_assert_eq!(&want, &exact, "scalar reference drifted from ExactMvm");
         }
@@ -176,7 +196,8 @@ proptest! {
 
 /// Deterministic corner sweep of the skip machinery: all-zero inputs
 /// (every plane dead), single-sided weights (one differential side fully
-/// dead), zero weight columns, and a ragged two-subarray split — each
+/// dead), zero weight columns, saturated bit lines (every count equal to
+/// the array height), and a ragged two-subarray split — each
 /// compared against the scalar reference, values and ledgers, at 1 and
 /// `TRQ_THREADS` workers.
 #[test]
@@ -219,6 +240,19 @@ fn skip_corners_match_scalar_reference() {
                 n,
                 vec![0i32; depth * outputs],
                 cols_for(0, depth * n, 37),
+            )
+        },
+        {
+            // every cell and input bit set → every live bit line counts the
+            // full 128 rows, the one count past a 128-entry register table
+            let (depth, outputs, n) = (128, 3, 20);
+            (
+                "saturated bit lines",
+                depth,
+                outputs,
+                n,
+                vec![127i32; depth * outputs],
+                vec![255u8; depth * n],
             )
         },
         {

@@ -495,4 +495,21 @@ mod tests {
             other => panic!("expected a typed truncation, got {other:?}"),
         }
     }
+
+    #[test]
+    fn nesting_bomb_payload_is_a_decode_error() {
+        // a well-framed envelope (valid header and checksum) around 10^6
+        // `[`: the parser must refuse it at its depth limit, not overflow
+        // the stack
+        let payload = "[".repeat(1_000_000).into_bytes();
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+        bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        bytes.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
+        bytes.extend_from_slice(&payload);
+        match decode_snapshot(&bytes) {
+            Err(StoreError::Decode { reason }) => assert!(reason.contains("nesting"), "{reason}"),
+            other => panic!("expected a typed decode error, got {other:?}"),
+        }
+    }
 }

@@ -1,10 +1,14 @@
 //! The vectorised popcount kernel layer — every `AND`+`POPCNT` in the
-//! workspace funnels through the primitives in this module.
+//! workspace funnels through the primitives in this module, and so does
+//! the conversion decode that turns the counts into partial sums.
 //!
 //! With 1-bit cells and 1-bit DACs an MVM cycle per bit line is
 //! `popcount(cells & inputs)` (paper Section II-C), so this *is* the
 //! accelerator model's inner loop and dominates simulation cost. Four
-//! layers of specialisation live here:
+//! layers of specialisation live here, plus the decode primitive
+//! [`decode_diff_tile_into`] (the `decode` module: packed-LUT conversion,
+//! shift-add and the ops ledger per subarray tile, from vector registers
+//! on the AVX-512 tier):
 //!
 //! 1. **Shape-specialised word kernels** — [`and_popcount_words`] /
 //!    [`popcount_words`] dispatch on the word count so the common column
@@ -46,8 +50,11 @@ use crate::bits::BitMatrix;
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
+mod decode;
 mod simd;
 
+pub(crate) use decode::REGISTER_TABLE_ENTRIES;
+pub use decode::{decode_diff_tile_into, DecodeTable, DecodeTally};
 pub use simd::{
     and_popcount_words_tier, cpu_feature_summary, popcount_words_tier, resolve_kernel,
     resolve_kernel_with, KernelConfigError, KernelSelect, KernelTier, KERNEL_ENV,
@@ -202,12 +209,21 @@ impl ColMask {
     pub fn covers(&self, cols: usize) -> bool {
         self.words.len() == cols.div_ceil(64).max(1)
     }
+
+    /// True when columns `0..cols` can be queried without panicking.
+    pub(crate) fn spans(&self, cols: usize) -> bool {
+        cols <= self.words.len() * 64
+    }
 }
 
 /// Windows per occupancy block: [`WindowOcc`] tracks input-plane
 /// occupancy at the granularity of `WINDOW_BLOCK` consecutive windows, so
 /// the fused kernel can skip dead window runs *inside* a live subarray.
 pub const WINDOW_BLOCK: usize = 4;
+
+/// Windows one register-table decode step covers (16 `u32` lanes of a
+/// 512-bit vector).
+const DECODE_LANES: usize = 16;
 
 /// Per-subarray input occupancy — the *dynamic* side of sparsity-aware
 /// skipping, built by [`crate::pack_window_planes`] in the same pass that
@@ -370,6 +386,31 @@ impl WindowOcc {
             e = (e + WINDOW_BLOCK).min(w_end);
         }
         (e, live)
+    }
+
+    /// Liveness of the [`DECODE_LANES`] windows `[w, w + DECODE_LANES)` of
+    /// plane `p`: bit `i` set ⇔ the block of window `w + i` is live. Blocks
+    /// past the record's backing words read dead; the plane's own live bit
+    /// is not consulted.
+    // no_alloc: per plane of every 16-window decode chunk
+    #[inline]
+    pub(crate) fn window_lanes(&self, p: usize, w: usize) -> u32 {
+        // lanes from any offset span at most this many blocks
+        const SPAN: usize = DECODE_LANES / WINDOW_BLOCK + 1;
+        let row = &self.blocks[p * self.words_per_plane..(p + 1) * self.words_per_plane];
+        let b0 = w / WINDOW_BLOCK;
+        let (i, sh) = (b0 / 64, b0 % 64);
+        let mut bits = row.get(i).map_or(0, |x| x >> sh);
+        if sh + SPAN > 64 {
+            bits |= row.get(i + 1).map_or(0, |x| x << (64 - sh));
+        }
+        let mut lanes = 0u64;
+        for k in 0..SPAN {
+            if bits >> k & 1 == 1 {
+                lanes |= ((1u64 << WINDOW_BLOCK) - 1) << (k * WINDOW_BLOCK);
+            }
+        }
+        (lanes >> (w % WINDOW_BLOCK)) as u32 & ((1u32 << DECODE_LANES) - 1)
     }
 
     /// True when every block of plane `p` overlapping `[w0, w1)` is live

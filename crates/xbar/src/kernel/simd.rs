@@ -41,6 +41,10 @@
 use serde::{Deserialize, Serialize};
 
 use super::RowKernels;
+#[cfg(target_arch = "x86_64")]
+use super::{ColMask, DecodeTable, DecodeTally, WindowOcc, REGISTER_TABLE_ENTRIES};
+#[cfg(target_arch = "x86_64")]
+use std::ops::Range;
 
 /// A *requested* kernel implementation, as carried by configuration —
 /// resolved against the host CPU (and the `TRQ_KERNEL` environment
@@ -425,6 +429,51 @@ impl RowKernels for Avx512Rows {
     }
 }
 
+/// The register-table conversion decode on the AVX-512 tier (see
+/// [`super::decode`] for the contract it shares with the segment walk).
+///
+/// # Panics
+///
+/// Panics when the host lacks AVX-512 or `table` is not register-eligible.
+// no_alloc: dispatch shim of the per-tile register-table decode
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code, clippy::too_many_arguments)]
+pub(super) fn decode_registers_avx512(
+    table: &DecodeTable,
+    occ: &WindowOcc,
+    pos_live: &ColMask,
+    neg_live: &ColMask,
+    cols: Range<usize>,
+    windows: Range<usize>,
+    counts_pos: &[u32],
+    counts_neg: &[u32],
+    acc: &mut [i64],
+) -> DecodeTally {
+    assert!(KernelTier::Avx512.available(), "register decode needs the AVX-512 tier");
+    assert!(
+        table.register_image().len() == REGISTER_TABLE_ENTRIES,
+        "table is not register-eligible"
+    );
+    let (planes, slices) = (table.planes(), table.slices());
+    let (nc, nw) = (cols.end - cols.start, windows.end - windows.start);
+    assert!(
+        counts_pos.len() >= planes * nc * nw
+            && counts_neg.len() >= planes * nc * nw
+            && acc.len() >= nc / slices * nw,
+        "decode buffers shorter than the tile"
+    );
+    // SAFETY: AVX-512 (which includes avx512f) was asserted available
+    // above. The body's memory accesses rest on the invariants asserted
+    // here: the register image holds exactly REGISTER_TABLE_ENTRIES
+    // entries (eight 16-entry loads), and the count buffers and the
+    // accumulator cover the tile volume its masked loads and stores index.
+    unsafe {
+        avx512::decode_registers(
+            table, occ, pos_live, neg_live, cols, windows, counts_pos, counts_neg, acc,
+        )
+    }
+}
+
 /// The NEON row kernels (see [`neon`]).
 #[cfg(target_arch = "aarch64")]
 pub(crate) struct NeonRows;
@@ -792,7 +841,182 @@ mod avx2 {
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod avx512 {
+    use super::{ColMask, DecodeTable, DecodeTally, WindowOcc};
     use core::arch::x86_64::*;
+    use std::ops::Range;
+
+    /// Looks up the packed entry of each count lane in the register-held
+    /// table: `t[2j..2j+2]` hold entries `32j..32j+32`, so one two-register
+    /// permute per pair covers index bits 0–4, blends on bits 5 and 6 pick
+    /// the pair, and a last blend returns `top` where the count equals the
+    /// array height (entry 128 of a 128-row table). Only registers are
+    /// indexed — an out-of-range count picks some entry, never a stray
+    /// memory read.
+    // SAFETY: value intrinsics only — no memory access. `unsafe` comes
+    // solely from the avx512f gate, which every caller discharges: the
+    // only caller is `decode_registers`, entered after the tier dispatcher
+    // asserted AVX-512 availability.
+    // no_alloc: two lookups per (plane, slice) row and 16 windows
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn lookup(t: &[__m512i; 8], top: __m512i, rows: __m512i, idx: __m512i) -> __m512i {
+        let r0 = _mm512_permutex2var_epi32(t[0], idx, t[1]);
+        let r1 = _mm512_permutex2var_epi32(t[2], idx, t[3]);
+        let r2 = _mm512_permutex2var_epi32(t[4], idx, t[5]);
+        let r3 = _mm512_permutex2var_epi32(t[6], idx, t[7]);
+        let b5 = _mm512_test_epi32_mask(idx, _mm512_set1_epi32(32));
+        let b6 = _mm512_test_epi32_mask(idx, _mm512_set1_epi32(64));
+        let low = _mm512_mask_blend_epi32(b5, r0, r1);
+        let high = _mm512_mask_blend_epi32(b5, r2, r3);
+        let v = _mm512_mask_blend_epi32(b6, low, high);
+        _mm512_mask_blend_epi32(_mm512_cmpeq_epi32_mask(idx, rows), v, top)
+    }
+
+    /// The register-table decode of one subarray tile: per 16-window chunk
+    /// and output row, every live (plane, slice) row's counts are masked
+    /// in (plane live ∧ window block live ∧ column live ∧ lane inside the
+    /// tile — everything else reads count 0), looked up, and summed into
+    /// one `i32` lane set, widened into the `i64` accumulator once; the ops
+    /// bytes sum in `u32` lanes and flush per output row.
+    // SAFETY: `unsafe` for the avx512f gate. Callers guarantee (the safe
+    // wrapper `decode_registers_avx512` asserts it) that AVX-512 is
+    // available, that `table.register_image()` holds 128 entries, and that
+    // `counts_pos`/`counts_neg` hold at least `planes · nc · nw` counts and
+    // `acc` at least `nc / slices · nw` sums.
+    // no_alloc: the register-table decode runs once per subarray of every tile
+    #[target_feature(enable = "avx512f")]
+    #[allow(clippy::too_many_arguments)]
+    pub(super) unsafe fn decode_registers(
+        table: &DecodeTable,
+        occ: &WindowOcc,
+        pos_live: &ColMask,
+        neg_live: &ColMask,
+        cols: Range<usize>,
+        windows: Range<usize>,
+        counts_pos: &[u32],
+        counts_neg: &[u32],
+        acc: &mut [i64],
+    ) -> DecodeTally {
+        let (planes, slices) = (table.planes(), table.slices());
+        let (nc, nw) = (cols.end - cols.start, windows.end - windows.start);
+        let entries = table.entries();
+        let ops0 = u64::from(entries[0] >> DecodeTable::OPS_SHIFT);
+        let image = table.register_image().as_ptr();
+        // SAFETY: the image holds 128 entries (caller contract), so the
+        // eight 16-lane loads read `image[0..128]` exactly.
+        let t = unsafe {
+            [
+                _mm512_loadu_si512(image as *const _),
+                _mm512_loadu_si512(image.add(16) as *const _),
+                _mm512_loadu_si512(image.add(32) as *const _),
+                _mm512_loadu_si512(image.add(48) as *const _),
+                _mm512_loadu_si512(image.add(64) as *const _),
+                _mm512_loadu_si512(image.add(80) as *const _),
+                _mm512_loadu_si512(image.add(96) as *const _),
+                _mm512_loadu_si512(image.add(112) as *const _),
+            ]
+        };
+        let rows = table.rows();
+        let top = _mm512_set1_epi32(entries[rows] as i32);
+        let rows_v = _mm512_set1_epi32(rows as i32);
+        let lsb_mask = _mm512_set1_epi32(DecodeTable::LSB_MASK as i32);
+        let mut vmax = _mm512_setzero_si512();
+        let mut ops = 0u64;
+        // window lane masks of the current chunk per plane; eligibility
+        // caps planes at 31
+        let mut plane_lanes = [0u16; 32];
+        let mut off = 0;
+        while off < nw {
+            let lanes = (nw - off).min(16);
+            let tail = ((1u32 << lanes) - 1) as u16;
+            for (p, m) in plane_lanes.iter_mut().enumerate().take(planes) {
+                *m = if occ.plane_live(p) {
+                    occ.window_lanes(p, windows.start + off) as u16 & tail
+                } else {
+                    0
+                };
+            }
+            for o in 0..nc / slices {
+                let mut acc32 = _mm512_setzero_si512();
+                let mut ops32 = _mm512_setzero_si512();
+                let mut dead_rows = 0u64;
+                for (p, &pm) in plane_lanes.iter().enumerate().take(planes) {
+                    for alpha in 0..slices {
+                        let oc = o * slices + alpha;
+                        let mp = if pos_live.is_live(cols.start + oc) { pm } else { 0 };
+                        let mn = if neg_live.is_live(cols.start + oc) { pm } else { 0 };
+                        if mp | mn == 0 {
+                            dead_rows += 1;
+                            continue;
+                        }
+                        let base = (p * nc + oc) * nw + off;
+                        // SAFETY: `base < planes · nc · nw` (p < planes,
+                        // oc < nc, off < nw), so both pointers stay inside
+                        // the count buffers. The loads touch only lanes in
+                        // `mp`/`mn`, a subset of `tail`, i.e. slots
+                        // `base..base + lanes` of this row, all inside the
+                        // tile; masked-off lanes are not accessed (AVX-512
+                        // masked loads suppress them) and read as 0.
+                        let (cp, cn) = unsafe {
+                            (
+                                _mm512_maskz_loadu_epi32(
+                                    mp,
+                                    counts_pos.as_ptr().add(base) as *const i32,
+                                ),
+                                _mm512_maskz_loadu_epi32(
+                                    mn,
+                                    counts_neg.as_ptr().add(base) as *const i32,
+                                ),
+                            )
+                        };
+                        vmax = _mm512_max_epu32(vmax, _mm512_max_epu32(cp, cn));
+                        let ep = lookup(&t, top, rows_v, cp);
+                        let en = lookup(&t, top, rows_v, cn);
+                        ops32 = _mm512_add_epi32(
+                            ops32,
+                            _mm512_add_epi32(
+                                _mm512_srli_epi32::<24>(ep),
+                                _mm512_srli_epi32::<24>(en),
+                            ),
+                        );
+                        let d = _mm512_sub_epi32(
+                            _mm512_and_si512(ep, lsb_mask),
+                            _mm512_and_si512(en, lsb_mask),
+                        );
+                        let shift = _mm_cvtsi32_si128((alpha + p) as i32);
+                        acc32 = _mm512_add_epi32(acc32, _mm512_sll_epi32(d, shift));
+                    }
+                }
+                // rows dead on both sides cost `ops0` per conversion; lanes
+                // past the tile picked entry 0 too and are masked out here
+                let live_ops = _mm512_reduce_add_epi32(_mm512_maskz_mov_epi32(tail, ops32));
+                ops += dead_rows * 2 * ops0 * lanes as u64 + u64::from(live_ops as u32);
+                if dead_rows == (planes * slices) as u64 {
+                    continue;
+                }
+                let a = o * nw + off;
+                let low = _mm512_cvtepi32_epi64(_mm512_castsi512_si256(acc32));
+                let high = _mm512_cvtepi32_epi64(_mm512_extracti64x4_epi64::<1>(acc32));
+                // SAFETY: `a + lanes <= (o + 1) · nw <= acc.len()`; the
+                // masked load/store pairs touch only lanes below `lanes`
+                // (`tail`), the second half only when more than 8 lanes are
+                // live, so `a + 8` is then inside the row.
+                unsafe {
+                    let dst = acc.as_mut_ptr().add(a);
+                    let m = tail as u8;
+                    let sum = _mm512_add_epi64(_mm512_maskz_loadu_epi64(m, dst), low);
+                    _mm512_mask_storeu_epi64(dst, m, sum);
+                    if lanes > 8 {
+                        let (dst, m) = (dst.add(8), (tail >> 8) as u8);
+                        let sum = _mm512_add_epi64(_mm512_maskz_loadu_epi64(m, dst), high);
+                        _mm512_mask_storeu_epi64(dst, m, sum);
+                    }
+                }
+            }
+            off += 16;
+        }
+        DecodeTally { ops, max_count: _mm512_reduce_max_epu32(vmax) }
+    }
 
     /// Sum of the 4 u64 lanes of a 256-bit vector.
     // SAFETY: value intrinsics only — no memory access. The enclosing

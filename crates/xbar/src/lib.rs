@@ -68,9 +68,10 @@ pub use crossbar::Crossbar;
 pub use error::XbarError;
 pub use frontend::{SampleHold, Tia};
 pub use kernel::{
-    and_popcount_words, and_popcount_words_tier, cpu_feature_summary, mvm_diff_tile_into,
-    popcount_words, popcount_words_tier, resolve_kernel, resolve_kernel_with, ColMask,
-    KernelConfigError, KernelSelect, KernelTier, WindowOcc, KERNEL_ENV, WINDOW_BLOCK,
+    and_popcount_words, and_popcount_words_tier, cpu_feature_summary, decode_diff_tile_into,
+    mvm_diff_tile_into, popcount_words, popcount_words_tier, resolve_kernel, resolve_kernel_with,
+    ColMask, DecodeTable, DecodeTally, KernelConfigError, KernelSelect, KernelTier, WindowOcc,
+    KERNEL_ENV, WINDOW_BLOCK,
 };
 pub use noise::NoiseModel;
 pub use pair::DiffPair;
