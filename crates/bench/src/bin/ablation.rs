@@ -6,7 +6,7 @@
 //! 2. **MSE guard band** — sensitivity of the accepted plan to the
 //!    Eq. 9/Eq. 10 arbitration knob.
 //! 3. **Non-uniform SAR baseline** — the related-work alternative
-//!    (Fig. 2b, [9]): quantile grid, fixed op count, analog redesign.
+//!    (Fig. 2b, ref. \[9\]): quantile grid, fixed op count, analog redesign.
 //!
 //! Usage: `cargo run -p trq-bench --release --bin ablation`
 //! (`TRQ_SUITE=quick` recommended; the full suite takes minutes.)

@@ -25,8 +25,8 @@ pub struct HostMeta {
     pub threads_requested: usize,
     /// Worker threads actually used after auto-detection/clamping.
     pub threads_effective: usize,
-    /// Dispatch mode(s) the record's threaded runs cover, e.g. `"pool"`,
-    /// `"scope"`, or `"pool+scope"` for side-by-side records.
+    /// How the record's engine rounds reached their threads; every
+    /// round runs on the persistent pool, so records say `"pool"`.
     pub dispatch: String,
     /// SIMD capabilities detected on the measuring host, e.g.
     /// `"popcnt+avx2+avx512f+avx512vpopcntdq+avx512vl"` — what the
@@ -63,129 +63,6 @@ impl HostMeta {
             kernel_tier: Some(tier),
         }
     }
-}
-
-/// One batch-size point inside [`ServeBenchRecord`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ServePointTiming {
-    /// `BatchPolicy::max_batch` for this point.
-    pub max_batch: usize,
-    /// Requests submitted and served.
-    pub requests: usize,
-    /// Engine calls (batches) the micro-batcher formed.
-    pub batches: u64,
-    /// `requests / batches` — how well coalescing worked.
-    pub mean_batch: f64,
-    /// End-to-end throughput over the whole burst.
-    pub requests_per_sec: f64,
-    /// Median submit-to-completion latency, microseconds.
-    pub p50_latency_us: f64,
-    /// 99th-percentile submit-to-completion latency, microseconds.
-    pub p99_latency_us: f64,
-}
-
-/// The mixed-model traffic point inside [`ServeBenchRecord`]: a burst
-/// interleaving requests across several resident models of one registry
-/// server, so batches split on model boundaries.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct MixedModelTiming {
-    /// Resident models the burst round-robins across.
-    pub models: usize,
-    /// `BatchPolicy::max_batch` for the point.
-    pub max_batch: usize,
-    /// Requests submitted and served (all models together).
-    pub requests: usize,
-    /// Engine calls (batches) the micro-batcher formed.
-    pub batches: u64,
-    /// `requests / batches` — coalescing under model-split pressure.
-    pub mean_batch: f64,
-    /// End-to-end throughput over the whole burst.
-    pub requests_per_sec: f64,
-    /// Median submit-to-completion latency, microseconds.
-    pub p50_latency_us: f64,
-    /// 99th-percentile submit-to-completion latency, microseconds.
-    pub p99_latency_us: f64,
-}
-
-/// One overload point inside [`ServeBenchRecord`]: an open-loop burst
-/// pushed beyond queue capacity under one [`trq_serve::ShedPolicy`],
-/// recording how the admission policy trades shed rate against goodput
-/// and the latency of the requests it does admit.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct OverloadTiming {
-    /// The `ShedPolicy` under test (`"block"`, `"reject-newest"`,
-    /// `"reject-oldest"`).
-    pub shed_policy: String,
-    /// Queue bound the burst overflows.
-    pub queue_cap: usize,
-    /// Requests offered by the open-loop burst.
-    pub offered: usize,
-    /// Requests that completed successfully.
-    pub admitted: usize,
-    /// Requests shed (refused at the gate or evicted from the queue).
-    pub shed: u64,
-    /// `shed / offered`.
-    pub shed_rate: f64,
-    /// Successful requests per second over the whole burst.
-    pub goodput_rps: f64,
-    /// Median submit-to-completion latency of *admitted* requests, µs.
-    pub p50_admitted_us: f64,
-    /// 99th-percentile latency of *admitted* requests, µs.
-    pub p99_admitted_us: f64,
-}
-
-/// The record `bench_serve` writes to `results/BENCH_serve.json`:
-/// request throughput and latency percentiles of the `trq-serve`
-/// micro-batching frontend at several `max_batch` policies, on one
-/// workload, plus one mixed-model traffic point. After each timed
-/// burst, outputs are verified bit-identical to per-image `forward`
-/// before the record is written.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ServeBenchRecord {
-    /// Workload label (shape in the name).
-    pub workload: String,
-    /// Measuring-host metadata.
-    pub host: HostMeta,
-    /// Queue bound used for every point.
-    pub queue_cap: usize,
-    /// Straggler wait (`BatchPolicy::max_wait`) in microseconds.
-    pub max_wait_us: u64,
-    /// Per-batch-size measurements (single resident model).
-    pub points: Vec<ServePointTiming>,
-    /// Mixed-model traffic measurement (absent in records written by
-    /// builds predating the registry).
-    pub mixed: Option<MixedModelTiming>,
-    /// Overload points, one per shed policy (absent in records written
-    /// by builds predating admission control).
-    pub overload: Option<Vec<OverloadTiming>>,
-}
-
-/// The record `bench_store` writes to `results/BENCH_store.json`:
-/// cold-start (quantize → calibrate → program) vs snapshot-load
-/// (read + verify + install) wall times for one workload, gated on the
-/// restored model being bit-identical to the cold one.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct StoreBenchRecord {
-    /// Workload label (shape in the name).
-    pub workload: String,
-    /// Measuring-host metadata.
-    pub host: HostMeta,
-    /// Snapshot file size on disk, bytes.
-    pub snapshot_bytes: u64,
-    /// Quantization time inside the cold start, milliseconds.
-    pub quantize_ms: f64,
-    /// Calibration plan-search time inside the cold start, milliseconds.
-    pub calibrate_ms: f64,
-    /// Weight-programming time inside the cold start, milliseconds.
-    pub program_ms: f64,
-    /// Total cold start: quantize + calibrate + program, milliseconds.
-    pub cold_start_ms: f64,
-    /// `ModelSnapshot` capture + generation write, milliseconds.
-    pub save_ms: f64,
-    /// `load_latest` + restore into a serving-ready model, milliseconds.
-    pub load_ms: f64,
-    /// `cold_start_ms / load_ms` — the bring-up speedup snapshots buy.
-    pub speedup: f64,
 }
 
 /// Reads the suite configuration from `TRQ_SUITE` (`paper` by default).

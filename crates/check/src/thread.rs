@@ -1,8 +1,8 @@
 //! Checked replacements for the slice of `std::thread` the workspace's
 //! concurrency cores use: `Builder`/`spawn`/`JoinHandle`/`yield_now`.
-//! Simulated threads are real OS threads, but the scheduler in
-//! [`crate::exec`] only ever lets one run at a time; spawning and joining
-//! are recorded scheduling decision points.
+//! Simulated threads are real OS threads, but the checker's scheduler
+//! only ever lets one run at a time; spawning and joining are recorded
+//! scheduling decision points.
 
 use std::sync::Arc;
 

@@ -12,32 +12,16 @@ pub use trq_xbar::{
     KernelTier, KERNEL_ENV,
 };
 
-/// How tile rounds reach their worker threads.
-///
-/// Both modes produce bit-identical results and event counts; the choice
-/// only moves host-side dispatch cost. [`Dispatch::Pool`] is the default:
-/// parked persistent workers ([`crate::exec::Pool`]) make repeated calls
-/// on small layers pay only a mutex hand-off instead of a full thread
-/// spawn/join cycle. [`Dispatch::Scope`] keeps the PR 2 behaviour — a
-/// fresh `std::thread::scope` per engine call — and exists as the
-/// reference/benchmark baseline for the pool.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Dispatch {
-    /// Persistent parked workers, spawned once per process and reused
-    /// across every engine call (steady-state dispatch is allocation-free).
-    Pool,
-    /// A `std::thread::scope` spawn/join cycle on every call (the PR 2
-    /// executor; kept as the dispatch-overhead baseline).
-    Scope,
-}
-
 /// Host-side execution strategy for the simulated MVM datapath: how the
 /// engine tiles a layer's work and how many worker threads run the tiles.
 ///
 /// Tiles are (output-channel block × window block) units; subarrays and
 /// input bit-planes are looped inside each tile, so every tile owns a
 /// disjoint region of the accumulator and tiles compose in any order —
-/// results are bit-identical for every `threads` value.
+/// results are bit-identical for every `threads` value. Every tile round
+/// runs on the persistent [`crate::exec::Pool`] (a one-thread round runs
+/// inline on the caller), calibration collection and count noise
+/// included; none of these knobs changes simulated results.
 ///
 /// Sizing guidance: `threads = 0` (auto) is right for throughput runs;
 /// pin `threads = 1` for single-core hosts or deterministic profiling.
@@ -55,9 +39,6 @@ pub struct ExecConfig {
     pub tile_outputs: usize,
     /// MVM windows per tile. `0` picks the default of 64 windows.
     pub tile_windows: usize,
-    /// How tile rounds are handed to worker threads (persistent pool by
-    /// default; per-call scoped threads as the benchmark baseline).
-    pub dispatch: Dispatch,
     /// Which popcount kernel tier to run ([`KernelSelect::Auto`] picks
     /// the widest SIMD tier the host supports, falling back to scalar).
     /// Resolved **once** at engine construction via [`resolve_kernel`];
@@ -84,7 +65,6 @@ impl Default for ExecConfig {
             threads: 1,
             tile_outputs: 0,
             tile_windows: 0,
-            dispatch: Dispatch::Pool,
             kernel: KernelSelect::Auto,
             block_skip: true,
         }
@@ -115,14 +95,6 @@ impl ExecConfig {
     #[must_use]
     pub fn with_tile_windows(mut self, tile_windows: usize) -> Self {
         self.tile_windows = tile_windows;
-        self
-    }
-
-    /// Builder: sets the dispatch mode (persistent pool vs per-call
-    /// scoped threads).
-    #[must_use]
-    pub fn with_dispatch(mut self, dispatch: Dispatch) -> Self {
-        self.dispatch = dispatch;
         self
     }
 
@@ -299,7 +271,6 @@ mod tests {
             .with_threads(4)
             .with_tile_outputs(8)
             .with_tile_windows(32)
-            .with_dispatch(Dispatch::Scope)
             .with_kernel(KernelSelect::Scalar)
             .with_block_skip(false);
         assert_eq!(
@@ -308,7 +279,6 @@ mod tests {
                 threads: 4,
                 tile_outputs: 8,
                 tile_windows: 32,
-                dispatch: Dispatch::Scope,
                 kernel: KernelSelect::Scalar,
                 block_skip: false,
             }
@@ -323,11 +293,6 @@ mod tests {
         let e = ExecConfig::default();
         assert_eq!(e.kernel, KernelSelect::Auto);
         assert!(e.block_skip);
-    }
-
-    #[test]
-    fn exec_default_dispatch_is_the_persistent_pool() {
-        assert_eq!(ExecConfig::default().dispatch, Dispatch::Pool);
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! Persistent fork-join executor for the simulation hot paths.
 //!
-//! PR 2's tiled engine paid a full `std::thread::scope` spawn/join cycle
-//! on **every** `mvm_into` call — overhead that dominates on the small
-//! layers (fully-connected layers, 1×1 convolutions) that make up most of
-//! a network's call count. [`Pool`] amortises that fixed cost the same way
-//! the paper amortises per-conversion ADC cost: pay it once, reuse it for
-//! every subsequent invocation. Workers are spawned on first demand, then
+//! Spawning and joining threads on **every** `mvm_into` call costs more
+//! than the work on the small layers (fully-connected layers, 1×1
+//! convolutions) that make up most of a network's call count. [`Pool`]
+//! amortises that fixed cost the same way the paper amortises
+//! per-conversion ADC cost: pay it once, reuse it for every subsequent
+//! invocation. Workers are spawned on first demand, then
 //! park on a condvar between jobs; dispatching a job is a mutex hand-off
 //! and a wakeup, with **no heap allocation** on the caller or the workers.
 //!

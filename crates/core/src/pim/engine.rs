@@ -13,42 +13,50 @@
 //!    in one pass over the activation codes (scratch `BitMatrix` buffers
 //!    reused across calls, live-plane and per-window-block occupancy
 //!    recorded as a side effect), then run (output-block × window-block)
-//!    tiles. Per subarray, a tile makes two calls into the **kernel
-//!    layer**, both on the [`KernelTier`] resolved once at engine
-//!    construction:
-//!    - `trq_xbar::mvm_diff_tile_into`, the fused differential popcount —
-//!      each plane word loaded once for both subarray sides,
-//!      monomorphised per column word count, on AVX-512 / AVX2 / NEON
-//!      popcount lanes or the portable scalar paths;
-//!    - `trq_xbar::decode_diff_tile_into`, the conversion decode — every
-//!      count through the packed LUT and shift-added into the tile
-//!      accumulator, with the ops / `max_count` ledger. On AVX-512,
-//!      eligible layers (arrays of at most 128 rows whose output rows fit
-//!      an `i32`; the paper's 128-row arrays qualify) decode 16 windows
-//!      of an output row at a time from a LUT held in vector registers;
-//!      every other tier and layer walks each row's live window runs.
+//!    tiles through the one tile datapath, `execute_tile`. Per subarray a
+//!    tile runs these stages, the kernel and decode on the [`KernelTier`]
+//!    resolved once at engine construction:
+//!    - **kernel** — `trq_xbar::mvm_diff_tile_into`, the fused
+//!      differential popcount: each plane word loaded once for both
+//!      subarray sides, monomorphised per column word count, on AVX-512 /
+//!      AVX2 / NEON popcount lanes or the portable scalar paths;
+//!    - **tally** (collector engines only) — every raw count into the
+//!      worker's `rows + 1` count histogram;
+//!    - **count noise** (σ_prog / σ_read only) — every count perturbed in
+//!      place by the keyed draws of [`trq_xbar::noise::CountNoise`], so
+//!      the ADC digitises the noisy current;
+//!    - **decode** — `trq_xbar::decode_diff_tile_into`: every count
+//!      through the packed LUT and shift-added into the tile accumulator,
+//!      with the ops / `max_count` ledger. On AVX-512, eligible layers
+//!      (arrays of at most 128 rows whose output rows fit an `i32`; the
+//!      paper's 128-row arrays qualify) decode 16 windows of an output
+//!      row at a time from a LUT held in vector registers; every other
+//!      tier and layer walks each row's live window runs.
 //!
-//!    Both skip all-zero input bit-planes, all-zero weight slice columns,
-//!    and dead window blocks inside live subarrays; those count-0
-//!    conversions fold into the event ledger in closed form. Every tier
-//!    and path is bit-identical. Subarrays and bit-planes are looped
-//!    *inside* each tile, so every tile owns a disjoint region of the
-//!    accumulator and tiles run on any number of worker threads with
-//!    bit-identical results. [`crate::arch::Dispatch::Scope`] keeps the
-//!    pre-kernel scalar datapath end to end as the pinned reference;
-//! 3. **account** — merge per-worker event tallies into the layer's
-//!    [`PimStats`] and scale the integer accumulator into code units.
+//!    Kernel and decode skip all-zero input bit-planes, all-zero weight
+//!    slice columns, and dead window blocks inside live subarrays; those
+//!    count-0 conversions fold into the event ledger in closed form. The
+//!    tally and the noise need every slot, so a collecting or noisy
+//!    engine runs **dense tiles**: all-live occupancy and column masks
+//!    make the kernel write every slot. Every tier and path is
+//!    bit-identical. Subarrays and bit-planes are looped *inside* each
+//!    tile, so every tile owns a disjoint region of the accumulator and
+//!    tiles run on any number of worker threads with bit-identical
+//!    results;
+//! 3. **account** — sum the per-worker event tallies and count
+//!    histograms into the layer's [`PimStats`] and the collector's
+//!    samples, and scale the integer accumulator into code units.
 //!
-//! Tile rounds run on the persistent [`crate::exec::Pool`] by default
-//! (dispatch onto parked workers, no per-call thread spawn) with
-//! per-worker scratch **arenas** — tile accumulators, count buffers, and
-//! event tallies allocated once and reused — so the steady-state forward
-//! path performs zero heap allocations (asserted in
-//! `crates/core/tests/alloc_free.rs`). [`crate::arch::Dispatch::Scope`]
-//! keeps the per-call `std::thread::scope` behaviour as the
-//! dispatch-overhead baseline; both modes are bit-identical.
+//! Tile rounds run on the persistent [`crate::exec::Pool`] (dispatch onto
+//! parked workers, no per-call thread spawn; a one-thread round runs
+//! inline on the caller) with per-worker scratch **arenas** — tile
+//! accumulators, count buffers, event tallies and histograms allocated
+//! once and reused — so the steady-state forward path performs zero heap
+//! allocations (asserted in `crates/core/tests/alloc_free.rs`). The
+//! pinned scalar reference every tier is property-tested against is a
+//! test-only engine, `crates/core/tests/reference/mod.rs`.
 
-use crate::arch::{ArchConfig, Dispatch};
+use crate::arch::ArchConfig;
 use crate::exec::Pool;
 use crate::pim::scheme::{AdcScheme, Lut};
 use crate::pim::stats::PimStats;
@@ -58,6 +66,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use trq_nn::{MvmEngine, MvmLayerInfo};
 use trq_quant::Histogram;
+use trq_xbar::noise::{mix64, unit_open, CountNoise};
 use trq_xbar::{
     decode_diff_tile_into, mvm_diff_tile_into, pack_window_planes, resolve_kernel, BitMatrix,
     ColMask, KernelConfigError, KernelTier, NoiseModel, WindowOcc,
@@ -89,6 +98,15 @@ struct Programmed {
     /// Per-count conversion table (packed entries), built once at
     /// programming time.
     lut: Lut,
+    /// Every column of the layer marked live: the masks of dense tiles.
+    all_cols: ColMask,
+}
+
+impl Programmed {
+    fn new(subarrays: Vec<DiffSubarray>, lut: Lut) -> Self {
+        let all_cols = ColMask::all_live(subarrays.first().map_or(0, |s| s.pos.cols()));
+        Programmed { subarrays, lut, all_cols }
+    }
 }
 
 /// One crossbar row block: the differential (pos, neg) slice planes plus
@@ -214,13 +232,19 @@ struct WorkerArena {
     done: Vec<(usize, usize)>,
     /// Event tally, merged into the layer ledger in the account stage.
     events: TileEvents,
+    /// Collector engines' `rows + 1` count histogram of the round (empty
+    /// otherwise), summed into the layer's samples in the account stage.
+    hist: Vec<u64>,
 }
 
 impl WorkerArena {
-    /// Rewinds the arena for a new round without touching capacity.
-    fn reset_round(&mut self) {
+    /// Rewinds the arena for a new round without touching capacity; the
+    /// histogram comes back zeroed with `hist_bins` bins.
+    fn reset_round(&mut self, hist_bins: usize) {
         self.acc_pool.clear();
         self.done.clear();
+        self.hist.clear();
+        self.hist.resize(hist_bins, 0);
     }
 
     /// Bytes of backing capacity currently held — the arena-reuse
@@ -231,6 +255,7 @@ impl WorkerArena {
             + self.scratch.counts_neg.capacity() * size_of::<u32>()
             + self.acc_pool.capacity() * size_of::<i64>()
             + self.done.capacity() * size_of::<(usize, usize)>()
+            + self.hist.capacity() * size_of::<u64>()
     }
 }
 
@@ -257,16 +282,49 @@ fn prepare_counts(scratch: &mut TileScratch, volume: usize) {
     }
 }
 
-/// Executes one tile on the **specialised kernel path**: per subarray,
-/// one fused differential popcount pass over every live bit-plane — each
-/// input plane word loaded once for both subarray sides — then one call
-/// of the conversion decode primitive, which digitises every count
-/// through the layer's packed LUT and shift-adds it into the tile-local
-/// accumulator `acc` (length `tile.len()`, zeroed by the caller). Both
-/// stages run on the engine's resolved [`KernelTier`]: on AVX-512 the
-/// decode of register-eligible layers reads the LUT from vector
-/// registers, 16 windows at a time; every other tier and layer walks the
-/// rows' live window runs. All paths are bit-identical.
+/// What every tile of one layer call shares: the programmed layer, the
+/// packed input and its occupancy, the kernel tier, the layer geometry,
+/// and the optional stages.
+struct Round<'a> {
+    prog: &'a Programmed,
+    planes: &'a [Vec<BitMatrix>],
+    occ: &'a [WindowOcc],
+    tier: KernelTier,
+    wbits: usize,
+    ibits: usize,
+    /// Collector engines add every raw count to the arena histogram.
+    tally: bool,
+    /// Count-level device noise, applied between kernel and decode.
+    noise: Option<CountNoise>,
+}
+
+impl Round<'_> {
+    /// The tally and the noise read every slot, so their tiles run dense.
+    fn dense(&self) -> bool {
+        self.tally || self.noise.is_some()
+    }
+}
+
+/// Executes one tile — the engine's only tile datapath. Per subarray:
+///
+/// 1. **kernel** — one fused differential popcount pass over every live
+///    bit-plane, each input plane word loaded once for both subarray
+///    sides;
+/// 2. **tally** (collector engines) — every raw count of both sides into
+///    `hist`, the arena's `rows + 1` histogram;
+/// 3. **count noise** — every count perturbed in place with draws keyed
+///    on its absolute (subarray, side, plane, column, window) slot, so
+///    the result is independent of tiling and thread count;
+/// 4. **decode** — one call of the conversion decode primitive, which
+///    digitises every count through the layer's packed LUT and
+///    shift-adds it into the tile-local accumulator `acc` (length
+///    `tile.len()`, zeroed by the caller);
+///
+/// then the tile's `max_abs_acc` goes into `events`. Kernel and decode
+/// run on the engine's resolved [`KernelTier`]: on AVX-512 the decode of
+/// register-eligible layers reads the LUT from vector registers, 16
+/// windows at a time; every other tier and layer walks the rows' live
+/// window runs. All paths are bit-identical.
 ///
 /// Sparsity-aware skipping: all-zero input bit-planes, dead window
 /// *blocks* inside live planes (both from the subarray's [`WindowOcc`]),
@@ -274,44 +332,66 @@ fn prepare_counts(scratch: &mut TileScratch, volume: usize) {
 /// skipped in the kernel and never read by the decode. Their counts are 0
 /// by construction, so the accumulator contribution cancels exactly and
 /// the count-0 conversions fold into the event ledger in closed form —
-/// `PimStats` stays bit-identical to the dense path.
-#[allow(clippy::too_many_arguments)]
+/// `PimStats` stays bit-identical to the dense path. Dense rounds (tally
+/// or noise on) pass all-live occupancy and the layer's all-live column
+/// mask instead, so every slot is written before the tally and the noise
+/// read it.
 fn execute_tile(
-    prog: &Programmed,
-    planes: &[Vec<BitMatrix>],
-    occ: &[WindowOcc],
-    tier: KernelTier,
+    round: &Round<'_>,
     tile: Tile,
-    wbits: usize,
-    ibits: usize,
     scratch: &mut TileScratch,
     acc: &mut [i64],
     events: &mut TileEvents,
+    hist: &mut [u64],
 ) {
     debug_assert_eq!(acc.len(), tile.len(), "tile accumulator must match the tile volume");
-    let (cols, windows) = (tile.o0 * wbits..tile.o1 * wbits, tile.w0..tile.w1);
-    let volume = ibits * cols.len() * windows.len();
+    let prog = round.prog;
+    let (cols, windows) = (tile.o0 * round.wbits..tile.o1 * round.wbits, tile.w0..tile.w1);
+    let (nc, nw) = (cols.len(), windows.len());
+    let volume = round.ibits * nc * nw;
+    let dense = round.dense();
     prepare_counts(scratch, volume);
     for (s, sub) in prog.subarrays.iter().enumerate() {
+        let (pos_live, neg_live) =
+            if dense { (&prog.all_cols, &prog.all_cols) } else { (&sub.pos_live, &sub.neg_live) };
         mvm_diff_tile_into(
-            tier,
+            round.tier,
             &sub.pos,
             &sub.neg,
-            &planes[s],
-            &occ[s],
-            &sub.pos_live,
-            &sub.neg_live,
+            &round.planes[s],
+            &round.occ[s],
+            pos_live,
+            neg_live,
             cols.clone(),
             windows.clone(),
             &mut scratch.counts_pos,
             &mut scratch.counts_neg,
         );
+        debug_assert!(
+            !dense
+                || scratch.counts_pos.iter().chain(&scratch.counts_neg).all(|&c| c != COUNT_POISON),
+            "a dense tile must write every slot"
+        );
+        if round.tally {
+            for &count in scratch.counts_pos.iter().chain(&scratch.counts_neg) {
+                hist[count as usize] += 1;
+            }
+        }
+        if let Some(noise) = &round.noise {
+            for (side, counts) in [(0, &mut scratch.counts_pos), (1, &mut scratch.counts_neg)] {
+                for (i, count) in counts.iter_mut().enumerate() {
+                    let (row, w) = (i / nw, i % nw);
+                    let (plane, col) = (row / nc, cols.start + row % nc);
+                    *count = noise.perturb(s, side, plane, col, windows.start + w, *count);
+                }
+            }
+        }
         let tally = decode_diff_tile_into(
-            tier,
+            round.tier,
             prog.lut.table(),
-            &occ[s],
-            &sub.pos_live,
-            &sub.neg_live,
+            &round.occ[s],
+            pos_live,
+            neg_live,
             cols.clone(),
             windows.clone(),
             &scratch.counts_pos,
@@ -321,155 +401,6 @@ fn execute_tile(
         events.ops += tally.ops;
         events.max_count = events.max_count.max(tally.max_count);
         events.conversions += 2 * volume as u64;
-    }
-    for &v in acc.iter() {
-        events.max_abs_acc = events.max_abs_acc.max(v.abs());
-    }
-}
-
-/// Mixes one more component into a splitmix64 hash chain, applied per key
-/// component so noise draws are a pure function of their slot coordinates.
-fn mix64(h: u64, v: u64) -> u64 {
-    let mut z = h ^ v.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Maps a 64-bit hash onto a uniform draw in (0, 1] (53-bit mantissa,
-/// never exactly zero — safe under `ln`).
-fn unit_open(z: u64) -> f64 {
-    (((z >> 11) + 1) as f64) * (1.0 / (1u64 << 53) as f64)
-}
-
-/// Count-level device noise for one engine call: a Gaussian perturbation
-/// of each BL count before decode, standing in for cell-level programming
-/// variation (σ scaling with `sqrt(count)` — the deviation of a sum of
-/// `count` independent cell currents) and additive read noise (σ in cell-
-/// current units, independent of the count). The exact cell-level model
-/// lives in [`trq_xbar::DiffPair`]'s analog path; this surrogate keeps
-/// the integer datapath while perturbing exactly what the ADC sees.
-///
-/// Draws are keyed on `(call_seed, subarray, side, plane, column,
-/// window)` — never on tile boundaries or thread ids — so a noisy result
-/// is bit-identical across tilings and thread counts, and across the
-/// serial/pooled dispatch modes.
-struct CountNoise {
-    sigma_prog: f64,
-    sigma_read: f64,
-    /// `mix64(seed, mvm_index, noise_epoch)` — one stream per layer call.
-    call_seed: u64,
-    /// Physical count ceiling (crossbar rows); noisy counts clamp here so
-    /// LUT lookups stay in range.
-    max_count: u32,
-}
-
-impl CountNoise {
-    /// The noisy count for one BL observation, `side` 0 = pos, 1 = neg.
-    fn perturb(
-        &self,
-        s: usize,
-        side: u64,
-        plane: usize,
-        col: usize,
-        window: usize,
-        count: u32,
-    ) -> u32 {
-        let mut h = mix64(self.call_seed, s as u64);
-        h = mix64(h, side);
-        h = mix64(h, plane as u64);
-        h = mix64(h, col as u64);
-        h = mix64(h, window as u64);
-        // one Box–Muller pair per slot: cos-branch perturbs for
-        // programming variation, sin-branch for read noise
-        let u1 = unit_open(h);
-        let u2 = unit_open(mix64(h, 0x5851_F42D_4C95_7F2D));
-        let r = (-2.0 * u1.ln()).sqrt();
-        let (sin_t, cos_t) = (std::f64::consts::TAU * u2).sin_cos();
-        let c = f64::from(count);
-        let noisy = c + self.sigma_prog * c.sqrt() * (r * cos_t) + self.sigma_read * (r * sin_t);
-        noisy.round().clamp(0.0, f64::from(self.max_count)) as u32
-    }
-}
-
-/// Executes one tile on the **scalar reference path** (the pre-kernel
-/// serial datapath, kept live on [`Dispatch::Scope`] and for calibration):
-/// two back-to-back scalar popcount passes per subarray, then an
-/// element-wise decode of every count — no fusion, no specialisation, no
-/// skipping. Property tests pin the specialised path bit-identical to
-/// this one, values and ledgers. When `tally` is given (calibration),
-/// every pos/neg BL count of the tile is added to that count histogram.
-/// When `noise` is given (device-noise emulation), each count is perturbed
-/// before decode — the ADC digitises the noisy current; the tally still
-/// sees raw counts.
-#[allow(clippy::too_many_arguments)]
-fn execute_tile_scalar(
-    prog: &Programmed,
-    planes: &[Vec<BitMatrix>],
-    tile: Tile,
-    wbits: usize,
-    ibits: usize,
-    scratch: &mut TileScratch,
-    acc: &mut [i64],
-    events: &mut TileEvents,
-    mut tally: Option<&mut [u64]>,
-    noise: Option<&CountNoise>,
-) {
-    debug_assert_eq!(acc.len(), tile.len(), "tile accumulator must match the tile volume");
-    let nc = (tile.o1 - tile.o0) * wbits;
-    let nw = tile.w1 - tile.w0;
-    let volume = ibits * nc * nw;
-    let lut = &prog.lut;
-    prepare_counts(scratch, volume);
-    for (s, sub) in prog.subarrays.iter().enumerate() {
-        let cols = tile.o0 * wbits..tile.o1 * wbits;
-        sub.pos.mvm_planes_tile_into(
-            &planes[s],
-            cols.clone(),
-            tile.w0..tile.w1,
-            &mut scratch.counts_pos,
-        );
-        sub.neg.mvm_planes_tile_into(&planes[s], cols, tile.w0..tile.w1, &mut scratch.counts_neg);
-        debug_assert!(
-            scratch.counts_pos.iter().chain(scratch.counts_neg.iter()).all(|&c| c != COUNT_POISON),
-            "scalar kernel must overwrite the whole tile volume"
-        );
-        for c in 0..ibits {
-            for oc in 0..nc {
-                let (o_local, alpha) = (oc / wbits, oc % wbits);
-                let shift = (alpha + c) as u32;
-                let base = (c * nc + oc) * nw;
-                let cps = &scratch.counts_pos[base..base + nw];
-                let cns = &scratch.counts_neg[base..base + nw];
-                let arow = &mut acc[o_local * nw..(o_local + 1) * nw];
-                for (i, ((a, &cp), &cn)) in arow.iter_mut().zip(cps).zip(cns).enumerate() {
-                    let (cp, cn) = match noise {
-                        Some(nz) => {
-                            // absolute column / window coordinates, so
-                            // the draw is tiling-independent
-                            let col = tile.o0 * wbits + oc;
-                            let window = tile.w0 + i;
-                            (
-                                nz.perturb(s, 0, c, col, window, cp),
-                                nz.perturb(s, 1, c, col, window, cn),
-                            )
-                        }
-                        None => (cp, cn),
-                    };
-                    events.max_count = events.max_count.max(cp).max(cn);
-                    let lp = lut.lsb(cp) as i64;
-                    let ln = lut.lsb(cn) as i64;
-                    events.ops += lut.ops(cp) as u64 + lut.ops(cn) as u64;
-                    *a += (lp - ln) << shift;
-                }
-            }
-        }
-        events.conversions += 2 * volume as u64;
-        if let Some(tally) = tally.as_deref_mut() {
-            for &count in scratch.counts_pos.iter().chain(&scratch.counts_neg) {
-                tally[count as usize] += 1;
-            }
-        }
     }
     for &v in acc.iter() {
         events.max_abs_acc = events.max_abs_acc.max(v.abs());
@@ -594,10 +525,13 @@ impl PimMvm {
     ///   noise runs on the full specialised kernel path, bit-identical
     ///   across tiers and thread counts.
     /// - **Programming variation / read noise** (`sigma_prog` /
-    ///   `sigma_read`) perturb every BL count before decode with slot-
-    ///   keyed Gaussians (see [`PimMvm::set_noise_epoch`]); count noise
-    ///   forces the scalar datapath, since the skip kernels' closed-form
-    ///   zero-count folds would bypass the perturbation.
+    ///   `sigma_read`) perturb every BL count between the popcount kernel
+    ///   and the decode with slot-keyed Gaussians
+    ///   ([`trq_xbar::noise::CountNoise`]; see
+    ///   [`PimMvm::set_noise_epoch`]). Noisy tiles run dense, since a
+    ///   skipped slot's closed-form zero-count fold would bypass the
+    ///   perturbation; they stay pooled and bit-identical across tiers,
+    ///   tilings and thread counts.
     ///
     /// An ideal model ([`NoiseModel::is_ideal`]) stores nothing — the
     /// engine is byte-for-byte the no-noise engine, keeping the noisy
@@ -649,8 +583,10 @@ impl PimMvm {
 
     /// Creates an engine that additionally tallies an exact BL count
     /// histogram per layer (calibration mode). The scheme is forced to
-    /// [`AdcScheme::Ideal`] so the collected distribution is the true one;
-    /// tiles run on the scalar datapath, which sees every count.
+    /// [`AdcScheme::Ideal`] so the collected distribution is the true one.
+    /// Its tiles run dense, so the tally sees every count; each worker
+    /// tallies into its own histogram and the account stage sums them,
+    /// so the result is the same at every thread count.
     pub fn collector(arch: ArchConfig, layers: usize, _config: CollectorConfig) -> Self {
         let mut engine = PimMvm::new(arch, vec![AdcScheme::Ideal; layers]);
         engine.collecting = true;
@@ -783,7 +719,7 @@ impl PimMvm {
                 })
                 .collect();
             let lut = Lut::from_parts(state.lut_entries, state.lut_delta, &self.arch);
-            self.programmed.insert(state.mvm_index, Programmed { subarrays, lut });
+            self.programmed.insert(state.mvm_index, Programmed::new(subarrays, lut));
         }
         Ok(())
     }
@@ -871,7 +807,7 @@ impl PimMvm {
             subarrays.push(DiffSubarray { pos, neg, pos_live, neg_live });
         }
         let lut = self.scheme_for(info.mvm_index).build_lut(&self.arch);
-        self.programmed.insert(info.mvm_index, Programmed { subarrays, lut });
+        self.programmed.insert(info.mvm_index, Programmed::new(subarrays, lut));
     }
 
     /// Folds a tile-local accumulator into the layer accumulator.
@@ -908,8 +844,14 @@ impl MvmEngine for PimMvm {
         let rows = self.arch.xbar.rows;
         let wbits = self.arch.weight_bits as usize;
         let ibits = self.arch.input_bits as usize;
-        let max_count = self.arch.xbar.rows as u32;
         let exec = self.arch.exec;
+        // count-level device noise (σ_prog / σ_read): one stream per
+        // (seed, layer, epoch); stuck-at-only noise leaves this None
+        let noise = self.noise.and_then(|nz| {
+            CountNoise::for_call(&nz, info.mvm_index, self.noise_epoch, rows as u32)
+        });
+        // the tally and the noise read every slot: their tiles run dense
+        let dense = self.collecting || noise.is_some();
 
         // batched bit-plane packing: all `input_bits` planes of every
         // subarray in one pass over `cols` each, into reused scratch;
@@ -928,7 +870,9 @@ impl MvmEngine for PimMvm {
             let d0 = s * rows;
             let d1 = ((s + 1) * rows).min(info.depth);
             pack_window_planes(cols, n, d0, d1, rows, ibits as u32, planes, occ);
-            if !exec.block_skip {
+            if dense {
+                occ.fill_all_live();
+            } else if !exec.block_skip {
                 // keep plane-level skipping, degrade block granularity
                 occ.fill_blocks_live();
             }
@@ -950,181 +894,101 @@ impl MvmEngine for PimMvm {
             o0 = o1;
         }
 
-        let threads = if self.collecting {
-            1 // the count tally rides the serial round
-        } else {
-            exec.effective_threads().clamp(1, self.tiles.len().max(1))
-        };
+        let threads = exec.effective_threads().clamp(1, self.tiles.len().max(1));
         while self.arenas.len() < threads {
             self.arenas.push(Mutex::new(WorkerArena::default()));
         }
         self.acc.clear();
         self.acc.resize(info.outputs * n, 0);
 
-        let prog = &self.programmed[&info.mvm_index];
-        let planes = &self.planes[..n_sub];
-        let occ = &self.occ[..n_sub];
-        let tier = self.tier;
+        let round = Round {
+            prog: &self.programmed[&info.mvm_index],
+            planes: &self.planes[..n_sub],
+            occ: &self.occ[..n_sub],
+            tier: self.tier,
+            wbits,
+            ibits,
+            tally: self.collecting,
+            noise,
+        };
         let tiles = &self.tiles;
-        // count-level device noise (σ_prog / σ_read): one stream per
-        // (seed, layer, epoch); stuck-at-only noise leaves this None and
-        // keeps the fused kernel path
-        let count_noise = self.noise.and_then(|nz| {
-            if nz.sigma_prog == 0.0 && nz.sigma_read == 0.0 {
-                None
-            } else {
-                Some(CountNoise {
-                    sigma_prog: nz.sigma_prog,
-                    sigma_read: nz.sigma_read,
-                    call_seed: mix64(mix64(nz.seed, info.mvm_index as u64), self.noise_epoch),
-                    max_count,
-                })
-            }
-        });
-        // Dispatch::Scope keeps the scalar reference datapath end to end
-        // (the baseline the specialised kernels are benchmarked and
-        // property-tested against); calibration also stays scalar so the
-        // tally sees every slot of every tile. Count noise forces
-        // scalar too: the skip kernels fold zero-count conversions in
-        // closed form, which would silently bypass the perturbation.
-        let scalar = exec.dispatch == Dispatch::Scope || self.collecting || count_noise.is_some();
-        let mut events = TileEvents::default();
-        if threads <= 1 {
-            // serial round on the calling thread, arena slot 0 (the only
-            // path that may carry the calibration count tally)
-            let mut tally = self.collecting.then(|| {
-                let entry = self.tallies.entry(info.mvm_index);
-                entry.or_insert_with(|| (info.label.clone(), vec![0; rows + 1])).1.as_mut_slice()
-            });
-            let arena = self.arenas[0].get_mut().unwrap_or_else(std::sync::PoisonError::into_inner);
-            for &tile in tiles {
-                arena.acc_pool.clear();
-                arena.acc_pool.resize(tile.len(), 0);
-                if scalar {
-                    execute_tile_scalar(
-                        prog,
-                        planes,
-                        tile,
-                        wbits,
-                        ibits,
-                        &mut arena.scratch,
-                        &mut arena.acc_pool,
-                        &mut events,
-                        tally.as_deref_mut(),
-                        count_noise.as_ref(),
-                    );
-                } else {
-                    execute_tile(
-                        prog,
-                        planes,
-                        occ,
-                        tier,
-                        tile,
-                        wbits,
-                        ibits,
-                        &mut arena.scratch,
-                        &mut arena.acc_pool,
-                        &mut events,
-                    );
-                }
-                Self::fold_tile(&mut self.acc, n, tile, &arena.acc_pool);
-            }
-        } else {
-            // a fork-join tile round: participants claim tiles from the
-            // shared counter and execute them into their own arena; the
-            // account stage below folds arena results in slot order, so
-            // the outcome is independent of which worker ran which tile
-            let max_tile = tiles.iter().map(|t| t.len()).max().unwrap_or(0);
-            for slot in &self.arenas[..threads] {
-                let mut arena = slot.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                arena.reset_round();
-                // reserve worst-case round capacity up front (one worker
-                // could claim every tile) so capacities stay monotone and
-                // rounds never allocate after the first call per shape —
-                // count scratch included: which tiles a slot claims is
-                // scheduling-dependent, and a busy-pool fallback round
-                // runs every slot inline on the caller, so a lazily-sized
-                // arena would allocate there mid-steady-state
-                arena.acc_pool.reserve(info.outputs * n);
-                arena.done.reserve(tiles.len());
-                // scratch keeps its logical length across rounds (stale
-                // contents are overwritten), so reserve only the shortfall
-                let volume = ibits * wbits * max_tile;
-                let pos = &mut arena.scratch.counts_pos;
-                pos.reserve(volume.saturating_sub(pos.len()));
-                let neg = &mut arena.scratch.counts_neg;
-                neg.reserve(volume.saturating_sub(neg.len()));
-            }
-            let next = AtomicUsize::new(0);
-            let arenas = &self.arenas;
-            let worker = |w: usize| {
-                let mut arena = arenas[w].lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                let arena = &mut *arena;
-                loop {
-                    let t = next.fetch_add(1, Ordering::Relaxed);
-                    if t >= tiles.len() {
-                        break;
-                    }
-                    let tile = tiles[t];
-                    let offset = arena.acc_pool.len();
-                    arena.acc_pool.resize(offset + tile.len(), 0);
-                    if scalar {
-                        execute_tile_scalar(
-                            prog,
-                            planes,
-                            tile,
-                            wbits,
-                            ibits,
-                            &mut arena.scratch,
-                            &mut arena.acc_pool[offset..],
-                            &mut arena.events,
-                            None,
-                            count_noise.as_ref(),
-                        );
-                    } else {
-                        execute_tile(
-                            prog,
-                            planes,
-                            occ,
-                            tier,
-                            tile,
-                            wbits,
-                            ibits,
-                            &mut arena.scratch,
-                            &mut arena.acc_pool[offset..],
-                            &mut arena.events,
-                        );
-                    }
-                    arena.done.push((t, offset));
-                }
-            };
-            match exec.dispatch {
-                Dispatch::Pool => self.pool.run(threads, &worker),
-                Dispatch::Scope => std::thread::scope(|scope| {
-                    let worker = &worker;
-                    for w in 1..threads {
-                        scope.spawn(move || worker(w));
-                    }
-                    worker(0);
-                }),
-            }
-            for slot in &mut self.arenas[..threads] {
-                let arena = slot.get_mut().unwrap_or_else(std::sync::PoisonError::into_inner);
-                events.merge(&arena.events);
-                arena.events = TileEvents::default();
-                for &(t, offset) in &arena.done {
-                    let tile = self.tiles[t];
-                    Self::fold_tile(
-                        &mut self.acc,
-                        n,
-                        tile,
-                        &arena.acc_pool[offset..offset + tile.len()],
-                    );
-                }
-            }
+        let max_tile = tiles.iter().map(|t| t.len()).max().unwrap_or(0);
+        for slot in &self.arenas[..threads] {
+            let mut arena = slot.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+            arena.reset_round(if round.tally { rows + 1 } else { 0 });
+            // reserve worst-case round capacity up front (one worker
+            // could claim every tile) so capacities stay monotone and
+            // rounds never allocate after the first call per shape —
+            // count scratch included: which tiles a slot claims is
+            // scheduling-dependent, and a busy-pool fallback round runs
+            // every slot inline on the caller, so a lazily-sized arena
+            // would allocate there mid-steady-state
+            arena.acc_pool.reserve(info.outputs * n);
+            arena.done.reserve(tiles.len());
+            // scratch keeps its logical length across rounds (stale
+            // contents are overwritten), so reserve only the shortfall
+            let volume = ibits * wbits * max_tile;
+            let pos = &mut arena.scratch.counts_pos;
+            pos.reserve(volume.saturating_sub(pos.len()));
+            let neg = &mut arena.scratch.counts_neg;
+            neg.reserve(volume.saturating_sub(neg.len()));
         }
+        // a fork-join tile round: participants claim tiles from the
+        // shared counter and execute them into their own arena; the
+        // account stage below folds arena results in slot order, so the
+        // outcome is independent of which worker ran which tile
+        let next = AtomicUsize::new(0);
+        let arenas = &self.arenas;
+        let worker = |w: usize| {
+            let mut arena = arenas[w].lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+            let arena = &mut *arena;
+            loop {
+                let t = next.fetch_add(1, Ordering::Relaxed);
+                if t >= tiles.len() {
+                    break;
+                }
+                let tile = tiles[t];
+                let offset = arena.acc_pool.len();
+                arena.acc_pool.resize(offset + tile.len(), 0);
+                execute_tile(
+                    &round,
+                    tile,
+                    &mut arena.scratch,
+                    &mut arena.acc_pool[offset..],
+                    &mut arena.events,
+                    &mut arena.hist,
+                );
+                arena.done.push((t, offset));
+            }
+        };
+        self.pool.run(threads, &worker);
 
         // ── account ───────────────────────────────────────────────────
+        let mut events = TileEvents::default();
+        let mut hist = self.collecting.then(|| {
+            let entry = self.tallies.entry(info.mvm_index);
+            &mut entry.or_insert_with(|| (info.label.clone(), vec![0; rows + 1])).1
+        });
+        for slot in &mut self.arenas[..threads] {
+            let arena = slot.get_mut().unwrap_or_else(std::sync::PoisonError::into_inner);
+            events.merge(&arena.events);
+            arena.events = TileEvents::default();
+            if let Some(hist) = hist.as_deref_mut() {
+                for (h, &c) in hist.iter_mut().zip(&arena.hist) {
+                    *h += c;
+                }
+            }
+            for &(t, offset) in &arena.done {
+                let tile = self.tiles[t];
+                Self::fold_tile(
+                    &mut self.acc,
+                    n,
+                    tile,
+                    &arena.acc_pool[offset..offset + tile.len()],
+                );
+            }
+        }
+        let prog = round.prog;
         let n_sub = prog.subarrays.len() as u64;
         let delta = prog.lut.delta;
         let phys = self.arch.physical_xbars_for_outputs(info.outputs) as u64;
@@ -1150,16 +1014,11 @@ impl MvmEngine for PimMvm {
         // warm the executor once per batch: spawn any missing pool
         // workers and size the arena slots, so every layer call of the
         // session dispatches onto already-parked threads
-        if self.collecting {
-            return;
-        }
         let threads = self.arch.exec.effective_threads().max(1);
         while self.arenas.len() < threads {
             self.arenas.push(Mutex::new(WorkerArena::default()));
         }
-        if threads > 1 && self.arch.exec.dispatch == Dispatch::Pool {
-            self.pool.warm(threads);
-        }
+        self.pool.warm(threads);
     }
 }
 
@@ -1287,21 +1146,6 @@ mod tests {
         // one bin per possible count, and BL counts are bounded by the rows
         assert_eq!(s.hist.counts().len(), 129);
         assert!(s.hist.sample_max() <= 128.0);
-    }
-
-    #[test]
-    fn collector_is_deterministic_even_with_threads_requested() {
-        let mut arch = arch();
-        arch.exec = ExecConfig::serial().with_threads(4);
-        let info = info(96, 3);
-        let weights: Vec<i32> = (0..96 * 3).map(|i: i32| (i % 9) - 4).collect();
-        let cols: Vec<u8> = (0..96 * 5).map(|i| (i % 11) as u8 * 20).collect();
-        let run = |arch: &ArchConfig| {
-            let mut pim = PimMvm::collector(*arch, 1, CollectorConfig::default());
-            let _ = pim.mvm(&info, &weights, &cols, 5);
-            pim.take_samples()
-        };
-        assert_eq!(run(&arch)[0].hist, run(&arch)[0].hist, "histogram must be reproducible");
     }
 
     #[test]

@@ -126,13 +126,13 @@ impl Lut {
     }
 
     /// Reconstructed magnitude (LSB units) for `count`.
-    #[inline]
+    #[cfg(test)]
     pub fn lsb(&self, count: u32) -> u32 {
         self.entries()[count as usize] & DecodeTable::LSB_MASK
     }
 
     /// A/D operations for `count`.
-    #[inline]
+    #[cfg(test)]
     pub fn ops(&self, count: u32) -> u32 {
         self.entries()[count as usize] >> DecodeTable::OPS_SHIFT
     }

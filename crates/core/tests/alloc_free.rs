@@ -9,7 +9,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use trq_core::arch::{ArchConfig, Dispatch, ExecConfig};
+use trq_core::arch::{ArchConfig, ExecConfig};
 use trq_core::pim::{AdcScheme, PimMvm};
 use trq_nn::{MvmEngine, MvmLayerInfo};
 
@@ -94,13 +94,8 @@ fn steady_state_serial_mvm_into_is_allocation_free() {
 /// after warm-up — the capacity invariant that covers the worker threads.
 #[test]
 fn steady_state_pooled_mvm_into_is_allocation_free_with_stable_arenas() {
-    let arch = ArchConfig::default().with_exec(
-        ExecConfig::serial()
-            .with_threads(2)
-            .with_tile_outputs(2)
-            .with_tile_windows(2)
-            .with_dispatch(Dispatch::Pool),
-    );
+    let arch = ArchConfig::default()
+        .with_exec(ExecConfig::serial().with_threads(2).with_tile_outputs(2).with_tile_windows(2));
     let (depth, outputs, n) = (150, 8, 6);
     let info = layer(depth, outputs);
     let (weights, cols) = inputs(depth, outputs, n);

@@ -3,10 +3,12 @@
 //! (`words_per_col ∈ {1, 2, 4}` plus the Harley–Seal generic path) on
 //! **every kernel tier this host can run** (scalar plus the
 //! AVX-512/AVX2/NEON SIMD lanes), packed-LUT decode, and sparsity-aware
-//! plane/column/window-block skipping — must be **bit-identical** to the
-//! scalar reference datapath kept live on [`Dispatch::Scope`]: output
-//! values *and* the full `PimStats` event ledger (ops, conversions, max
-//! count, max accumulator), across thread counts.
+//! plane/column/window-block skipping, and the dense tiles that carry the
+//! calibration tally and count noise — must be **bit-identical** to the
+//! scalar reference engine in `reference/mod.rs`: output values, the
+//! ledger fields the tile datapath owns (ops, conversions, max count, max
+//! accumulator), and the collected bit-line count histograms, across
+//! thread counts and tilings.
 //!
 //! The thread count for the multi-threaded runs follows `TRQ_THREADS`
 //! (default 4), so CI can pin e.g. `TRQ_THREADS=2` to exercise the
@@ -15,15 +17,18 @@
 //! suite once per tier); when unset, the sweep covers the scalar
 //! selection plus every SIMD tier the host supports.
 
+mod reference;
+
 use proptest::prelude::*;
+use reference::{Ledger, ReferenceMvm};
 use trq_core::arch::{
-    resolve_kernel_with, ArchConfig, Dispatch, ExecConfig, KernelConfigError, KernelSelect,
-    KernelTier, KERNEL_ENV,
+    resolve_kernel_with, ArchConfig, ExecConfig, KernelConfigError, KernelSelect, KernelTier,
+    KERNEL_ENV,
 };
-use trq_core::pim::{AdcScheme, PimMvm};
+use trq_core::pim::{AdcScheme, CollectorConfig, PimMvm};
 use trq_nn::{ExactMvm, MvmEngine, MvmLayerInfo};
 use trq_quant::TrqParams;
-use trq_xbar::CrossbarConfig;
+use trq_xbar::{CrossbarConfig, NoiseModel};
 
 fn env_threads() -> usize {
     std::env::var("TRQ_THREADS").ok().and_then(|v| v.parse().ok()).unwrap_or(4).max(2)
@@ -126,12 +131,78 @@ fn scheme(sel: usize) -> AdcScheme {
     }
 }
 
+/// One layer call: the layer, its weights, activation codes and window
+/// count.
+struct Call<'a> {
+    info: &'a MvmLayerInfo,
+    weights: &'a [i32],
+    cols: &'a [u8],
+    n: usize,
+}
+
+/// What the reference computes for one call on a fresh device.
+struct Expected {
+    values: Vec<f64>,
+    ledger: Ledger,
+    hist: Vec<u64>,
+}
+
+impl Expected {
+    fn of(arch: ArchConfig, scheme: AdcScheme, noise: NoiseModel, call: &Call<'_>) -> Self {
+        let mut reference = ReferenceMvm::new(arch, vec![scheme], noise);
+        let values = reference.mvm(call.info, call.weights, call.cols, call.n);
+        let layer = call.info.mvm_index;
+        Expected {
+            values,
+            ledger: reference.ledgers[&layer],
+            hist: reference.hists[&layer].clone(),
+        }
+    }
+}
+
+/// Runs `call` on a fresh `scheme` engine and on a fresh collector, both
+/// on the device `noise` describes, and asserts the values, the ledger
+/// and the collected histogram equal the reference's; the collector's
+/// histogram must also total its ledger's conversions. Returns the tier
+/// the engine resolved.
+fn assert_matches(
+    arch: ArchConfig,
+    scheme: AdcScheme,
+    noise: NoiseModel,
+    call: &Call<'_>,
+    want: &Expected,
+    context: &str,
+) -> KernelTier {
+    let layer = call.info.mvm_index;
+    let mut pim = PimMvm::new(arch, vec![scheme]).with_device_noise(noise);
+    let tier = pim.kernel_tier();
+    let got = pim.mvm(call.info, call.weights, call.cols, call.n);
+    assert_eq!(got, want.values, "{context}: values diverged on tier {}", tier.name());
+    assert_eq!(
+        Ledger::of(&pim.stats().layers[layer]),
+        want.ledger,
+        "{context}: ledgers diverged on tier {}",
+        tier.name()
+    );
+    let mut collector =
+        PimMvm::collector(arch, layer + 1, CollectorConfig::default()).with_device_noise(noise);
+    let _ = collector.mvm(call.info, call.weights, call.cols, call.n);
+    let samples = collector.take_samples();
+    assert_eq!(samples[0].hist.counts(), want.hist, "{context}: histograms diverged");
+    assert_eq!(
+        samples[0].hist.count(),
+        collector.stats().layers[layer].conversions,
+        "{context}: the histogram must total the conversions"
+    );
+    tier
+}
+
 proptest! {
     /// For every column word count (wpc 1, 2, 4, generic), every ADC
-    /// scheme and every weight/activation sparsity shape, the specialised
-    /// path (Pool dispatch) must match the scalar reference path (Scope
-    /// dispatch) exactly — outputs and ledgers — serially and
-    /// multi-threaded, and match [`ExactMvm`] under the ideal scheme.
+    /// scheme and every weight/activation sparsity shape, the engine must
+    /// match the scalar reference exactly — outputs, ledgers and the
+    /// collector's histogram — serially and multi-threaded, and the
+    /// reference must match [`ExactMvm`] under the ideal scheme.
     /// Window counts up to 70 with tiles up to the default 64 windows fill
     /// whole 16-lane decode chunks as well as ragged tails.
     #[test]
@@ -158,38 +229,22 @@ proptest! {
         let exec = ExecConfig::serial()
             .with_tile_outputs(tile_outputs)
             .with_tile_windows(tile_windows);
-        // the pinned reference: scalar datapath, serial
-        let ref_arch = arch_with_rows(rows, exec.with_dispatch(Dispatch::Scope));
-        let mut reference = PimMvm::new(ref_arch, vec![scheme]);
-        let want = reference.mvm(&info, &weights, &cols, n);
+        let call = Call { info: &info, weights: &weights, cols: &cols, n };
+        let want = Expected::of(arch_with_rows(rows, exec), scheme, NoiseModel::ideal(), &call);
 
         for select in kernel_selects() {
             for threads in [1usize, env_threads()] {
-                let arch = arch_with_rows(
-                    rows,
-                    exec.with_threads(threads).with_dispatch(Dispatch::Pool).with_kernel(select),
+                let arch = arch_with_rows(rows, exec.with_threads(threads).with_kernel(select));
+                let context = format!(
+                    "rows {rows} threads {threads} scheme {scheme:?} wmode {weight_mode} \
+                     amode {act_mode} shape ({depth}, {outputs}, {n}) tile_windows {tile_windows}"
                 );
-                let mut pim = PimMvm::new(arch, vec![scheme]);
-                let tier = pim.kernel_tier();
-                let got = pim.mvm(&info, &weights, &cols, n);
-                prop_assert_eq!(
-                    &got, &want,
-                    "kernel path diverged: rows {} tier {} threads {} scheme {:?} wmode {} \
-                     amode {} shape ({}, {}, {}) tile_windows {}",
-                    rows, tier.name(), threads, scheme, weight_mode, act_mode, depth, outputs, n,
-                    tile_windows
-                );
-                prop_assert_eq!(
-                    pim.stats(), reference.stats(),
-                    "event ledgers diverged: rows {} tier {} threads {} scheme {:?} wmode {} \
-                     amode {}",
-                    rows, tier.name(), threads, scheme, weight_mode, act_mode
-                );
+                assert_matches(arch, scheme, NoiseModel::ideal(), &call, &want, &context);
             }
         }
         if scheme_sel == 0 {
             let exact = ExactMvm.mvm(&info, &weights, &cols, n);
-            prop_assert_eq!(&want, &exact, "scalar reference drifted from ExactMvm");
+            prop_assert_eq!(&want.values, &exact, "scalar reference drifted from ExactMvm");
         }
     }
 }
@@ -198,8 +253,8 @@ proptest! {
 /// (every plane dead), single-sided weights (one differential side fully
 /// dead), zero weight columns, saturated bit lines (every count equal to
 /// the array height), and a ragged two-subarray split — each
-/// compared against the scalar reference, values and ledgers, at 1 and
-/// `TRQ_THREADS` workers.
+/// compared against the scalar reference, values, ledgers and
+/// histograms, at 1 and `TRQ_THREADS` workers.
 #[test]
 fn skip_corners_match_scalar_reference() {
     /// `(name, depth, outputs, windows, weights, activation codes)`.
@@ -270,28 +325,15 @@ fn skip_corners_match_scalar_reference() {
     ];
     for (name, depth, outputs, n, weights, cols) in cases {
         let info = layer(*depth, *outputs);
+        let call = Call { info: &info, weights, cols, n: *n };
         let exec = ExecConfig::serial().with_tile_outputs(2).with_tile_windows(3);
-        let ref_arch = arch_with_rows(128, exec.with_dispatch(Dispatch::Scope));
-        let mut reference = PimMvm::new(ref_arch, vec![AdcScheme::Trq(params)]);
-        let want = reference.mvm(&info, weights, cols, *n);
+        let scheme = AdcScheme::Trq(params);
+        let want = Expected::of(arch_with_rows(128, exec), scheme, NoiseModel::ideal(), &call);
         for select in kernel_selects() {
             for threads in [1usize, env_threads()] {
                 let arch = arch_with_rows(128, exec.with_threads(threads).with_kernel(select));
-                let mut pim = PimMvm::new(arch, vec![AdcScheme::Trq(params)]);
-                let tier = pim.kernel_tier();
-                let got = pim.mvm(&info, weights, cols, *n);
-                assert_eq!(
-                    got,
-                    want,
-                    "{name}: values diverged at {threads} threads on tier {}",
-                    tier.name()
-                );
-                assert_eq!(
-                    pim.stats(),
-                    reference.stats(),
-                    "{name}: ledgers diverged at {threads} threads on tier {}",
-                    tier.name()
-                );
+                let context = format!("{name} at {threads} threads");
+                assert_matches(arch, scheme, NoiseModel::ideal(), &call, &want, &context);
             }
         }
     }
@@ -330,10 +372,10 @@ fn block_skip_corners_match_scalar_reference() {
             }
         }
         let exec = ExecConfig::serial().with_tile_outputs(2).with_tile_windows(tile_windows);
-        let ref_arch = arch_with_rows(128, exec.with_dispatch(Dispatch::Scope));
-        let mut reference = PimMvm::new(ref_arch, vec![AdcScheme::Trq(params)]);
-        let want = reference.mvm(&info, &weights, &cols, n);
-        assert!(want.iter().any(|&v| v != 0.0), "{name}: degenerate case, nothing live");
+        let call = Call { info: &info, weights: &weights, cols: &cols, n };
+        let scheme = AdcScheme::Trq(params);
+        let want = Expected::of(arch_with_rows(128, exec), scheme, NoiseModel::ideal(), &call);
+        assert!(want.values.iter().any(|&v| v != 0.0), "{name}: degenerate case, nothing live");
         for select in kernel_selects() {
             for block_skip in [true, false] {
                 for threads in [1usize, env_threads()] {
@@ -341,23 +383,8 @@ fn block_skip_corners_match_scalar_reference() {
                         128,
                         exec.with_threads(threads).with_kernel(select).with_block_skip(block_skip),
                     );
-                    let mut pim = PimMvm::new(arch, vec![AdcScheme::Trq(params)]);
-                    let tier = pim.kernel_tier();
-                    let got = pim.mvm(&info, &weights, &cols, n);
-                    assert_eq!(
-                        got,
-                        want,
-                        "{name}: values diverged (tier {}, block_skip {block_skip}, \
-                         {threads} threads)",
-                        tier.name()
-                    );
-                    assert_eq!(
-                        pim.stats(),
-                        reference.stats(),
-                        "{name}: ledgers diverged (tier {}, block_skip {block_skip}, \
-                         {threads} threads)",
-                        tier.name()
-                    );
+                    let context = format!("{name} (block_skip {block_skip}, {threads} threads)");
+                    assert_matches(arch, scheme, NoiseModel::ideal(), &call, &want, &context);
                 }
             }
         }
@@ -414,114 +441,155 @@ fn engine_construction_rejects_unavailable_tier() {
 
 /// Stuck-at faults are applied to the *programmed* weight bits, before
 /// the column occupancy masks are computed — so a stuck-at-only
-/// [`trq_xbar::NoiseModel`] must leave every fused/SIMD kernel tier
-/// bit-identical to the scalar reference running the same damaged
-/// device, values and ledgers, at every thread count.
+/// [`NoiseModel`] must leave every fused/SIMD kernel tier bit-identical
+/// to the scalar reference running the same damaged device (its exported
+/// programming), values, ledgers and histograms, at every thread count.
 #[test]
 fn stuck_at_only_noise_keeps_every_kernel_tier_bit_identical() {
-    let noise = trq_xbar::NoiseModel {
+    let noise = NoiseModel {
         sigma_prog: 0.0,
         sigma_read: 0.0,
         stuck_off_rate: 0.04,
         stuck_on_rate: 0.02,
         seed: 99,
     };
-    let params = TrqParams::new(3, 7, 1, 1.0, 0).unwrap();
+    let scheme = AdcScheme::Trq(TrqParams::new(3, 7, 1, 1.0, 0).unwrap());
     let (depth, outputs, n) = (200, 4, 6);
     let info = layer(depth, outputs);
     let weights = weights_for(0, depth, outputs, 71);
     let cols = cols_for(0, depth * n, 71);
+    let call = Call { info: &info, weights: &weights, cols: &cols, n };
     let exec = ExecConfig::serial().with_tile_outputs(2).with_tile_windows(3);
-    let ref_arch = arch_with_rows(128, exec.with_dispatch(Dispatch::Scope));
-    let mut reference =
-        PimMvm::new(ref_arch, vec![AdcScheme::Trq(params)]).with_device_noise(noise);
-    let want = reference.mvm(&info, &weights, &cols, n);
+    let want = Expected::of(arch_with_rows(128, exec), scheme, noise, &call);
 
     // the damage must actually bite, or this test proves nothing
-    let mut clean = PimMvm::new(ref_arch, vec![AdcScheme::Trq(params)]);
-    let undamaged = clean.mvm(&info, &weights, &cols, n);
-    assert_ne!(want, undamaged, "stuck-at rates this high must perturb the output");
+    let undamaged = Expected::of(arch_with_rows(128, exec), scheme, NoiseModel::ideal(), &call);
+    assert_ne!(want.values, undamaged.values, "stuck-at rates this high must perturb the output");
+    assert_ne!(want.hist, undamaged.hist, "stuck-at damage must move the count distribution");
 
     for select in kernel_selects() {
         for threads in [1usize, env_threads()] {
-            let arch = arch_with_rows(
-                128,
-                exec.with_threads(threads).with_dispatch(Dispatch::Pool).with_kernel(select),
-            );
-            let mut pim = PimMvm::new(arch, vec![AdcScheme::Trq(params)]).with_device_noise(noise);
-            let tier = pim.kernel_tier();
-            let got = pim.mvm(&info, &weights, &cols, n);
-            assert_eq!(
-                got,
-                want,
-                "stuck-at damage diverged across tiers (tier {}, {threads} threads)",
-                tier.name()
-            );
-            assert_eq!(
-                pim.stats(),
-                reference.stats(),
-                "stuck-at ledgers diverged (tier {}, {threads} threads)",
-                tier.name()
+            let arch = arch_with_rows(128, exec.with_threads(threads).with_kernel(select));
+            assert_matches(
+                arch,
+                scheme,
+                noise,
+                &call,
+                &want,
+                &format!("stuck-at, {threads} threads"),
             );
         }
     }
 }
 
-/// Count-level noise (σ_prog / σ_read) draws are keyed on absolute tile
-/// coordinates and the engine's noise epoch — never on tiling, dispatch,
-/// or thread count — so the same noisy device must produce the same bits
-/// for every execution strategy, and a different epoch must produce
-/// different ones.
+/// Count-level noise (σ_prog / σ_read) draws are keyed on absolute slot
+/// coordinates and the engine's noise epoch — never on tiling or thread
+/// count — so every tier, tiling and thread count must reproduce the
+/// reference's noisy bits, ledgers and (raw, pre-noise) histograms, and a
+/// different epoch must produce different bits.
 #[test]
 fn count_noise_is_deterministic_across_threads_and_tilings() {
-    let noise = trq_xbar::NoiseModel {
+    let noise = NoiseModel {
         sigma_prog: 0.1,
         sigma_read: 1.5,
         stuck_off_rate: 0.0,
         stuck_on_rate: 0.0,
         seed: 1234,
     };
-    let params = TrqParams::new(3, 7, 1, 1.0, 0).unwrap();
+    let scheme = AdcScheme::Trq(TrqParams::new(3, 7, 1, 1.0, 0).unwrap());
     let (depth, outputs, n) = (150, 4, 6);
     let info = layer(depth, outputs);
     let weights = weights_for(0, depth, outputs, 81);
     let cols = cols_for(0, depth * n, 81);
-
+    let call = Call { info: &info, weights: &weights, cols: &cols, n };
     let base_exec = ExecConfig::serial().with_tile_outputs(2).with_tile_windows(3);
-    let mut reference = PimMvm::new(arch_with_rows(128, base_exec), vec![AdcScheme::Trq(params)])
-        .with_device_noise(noise);
-    let want = reference.mvm(&info, &weights, &cols, n);
+    let want = Expected::of(arch_with_rows(128, base_exec), scheme, noise, &call);
 
-    let mut clean = PimMvm::new(arch_with_rows(128, base_exec), vec![AdcScheme::Trq(params)]);
-    assert_ne!(want, clean.mvm(&info, &weights, &cols, n), "this much noise must bite");
+    let clean = Expected::of(arch_with_rows(128, base_exec), scheme, NoiseModel::ideal(), &call);
+    assert_ne!(want.values, clean.values, "this much noise must bite");
+    assert_eq!(want.hist, clean.hist, "the tally sees raw counts, before the noise");
 
-    for (tile_outputs, tile_windows) in [(1, 1), (3, 2), (4, 4)] {
-        for threads in [1usize, env_threads()] {
-            let exec = ExecConfig::serial()
-                .with_tile_outputs(tile_outputs)
-                .with_tile_windows(tile_windows)
-                .with_threads(threads)
-                .with_dispatch(Dispatch::Pool);
-            let mut pim = PimMvm::new(arch_with_rows(128, exec), vec![AdcScheme::Trq(params)])
-                .with_device_noise(noise);
-            let got = pim.mvm(&info, &weights, &cols, n);
-            assert_eq!(
-                got, want,
-                "noisy bits drifted (tiles {tile_outputs}x{tile_windows}, {threads} threads)"
-            );
-            assert_eq!(
-                pim.stats(),
-                reference.stats(),
-                "noisy ledgers drifted (tiles {tile_outputs}x{tile_windows}, {threads} threads)"
-            );
+    for select in kernel_selects() {
+        for (tile_outputs, tile_windows) in [(1, 1), (3, 2), (4, 4)] {
+            for threads in [1usize, env_threads()] {
+                let exec = ExecConfig::serial()
+                    .with_tile_outputs(tile_outputs)
+                    .with_tile_windows(tile_windows)
+                    .with_threads(threads)
+                    .with_kernel(select);
+                let context =
+                    format!("noise, tiles {tile_outputs}x{tile_windows}, {threads} threads");
+                assert_matches(arch_with_rows(128, exec), scheme, noise, &call, &want, &context);
+            }
         }
     }
 
     // a new epoch re-keys every draw: same device, fresh read noise
-    let mut epoch1 = PimMvm::new(arch_with_rows(128, base_exec), vec![AdcScheme::Trq(params)])
-        .with_device_noise(noise);
+    let arch = arch_with_rows(128, base_exec);
+    let mut epoch1 = PimMvm::new(arch, vec![scheme]).with_device_noise(noise);
     epoch1.set_noise_epoch(1);
-    assert_ne!(epoch1.mvm(&info, &weights, &cols, n), want, "epochs must decorrelate draws");
+    let got = epoch1.mvm(&info, &weights, &cols, n);
+    assert_ne!(got, want.values, "epochs must decorrelate draws");
+    let mut reference = ReferenceMvm::new(arch, vec![scheme], noise);
+    reference.set_noise_epoch(1);
+    assert_eq!(got, reference.mvm(&info, &weights, &cols, n), "epoch 1 diverged");
+    assert_eq!(Ledger::of(&epoch1.stats().layers[0]), reference.ledgers[&0]);
+}
+
+/// Collection runs on the pool like every other round: the histograms of
+/// a collector driven through several calls on two layers must equal the
+/// reference tally — and total each layer's conversions — on every tier,
+/// at 1 and `TRQ_THREADS` threads, under default and ragged tilings.
+#[test]
+fn collector_is_deterministic_even_with_threads_requested() {
+    let layers = [layer(150, 4), MvmLayerInfo { mvm_index: 1, ..layer(96, 3) }];
+    let weights: Vec<Vec<i32>> = layers
+        .iter()
+        .enumerate()
+        .map(|(i, l)| weights_for(i % 4, l.depth, l.outputs, 90 + i as u64))
+        .collect();
+    // (layer, windows, activation mode): the first layer is called twice
+    let calls = [(0usize, 5usize, 0usize), (1, 7, 1), (0, 9, 1)];
+    let run = |engine: &mut dyn MvmEngine| -> Vec<Vec<f64>> {
+        calls
+            .iter()
+            .enumerate()
+            .map(|(k, &(l, n, mode))| {
+                let cols = cols_for(mode, layers[l].depth * n, 17 + k as u64);
+                engine.mvm(&layers[l], &weights[l], &cols, n)
+            })
+            .collect()
+    };
+    let arch = arch_with_rows(128, ExecConfig::serial());
+    let mut reference = ReferenceMvm::collector(arch, layers.len());
+    let want = run(&mut reference);
+
+    for select in kernel_selects() {
+        for threads in [1usize, env_threads()] {
+            for (tile_outputs, tile_windows) in [(0, 0), (3, 2), (1, 5)] {
+                let exec = ExecConfig::serial()
+                    .with_threads(threads)
+                    .with_tile_outputs(tile_outputs)
+                    .with_tile_windows(tile_windows)
+                    .with_kernel(select);
+                let mut pim = PimMvm::collector(
+                    arch_with_rows(128, exec),
+                    layers.len(),
+                    CollectorConfig::default(),
+                );
+                let context = format!("{threads} threads, tiles {tile_outputs}x{tile_windows}");
+                assert_eq!(run(&mut pim), want, "{context}: values diverged");
+                let samples = pim.take_samples();
+                assert_eq!(samples.len(), layers.len(), "{context}");
+                for s in &samples {
+                    let stats = &pim.stats().layers[s.mvm_index];
+                    assert_eq!(s.hist.counts(), reference.hists[&s.mvm_index], "{context}");
+                    assert_eq!(s.hist.count(), stats.conversions, "{context}: total");
+                    assert_eq!(Ledger::of(stats), reference.ledgers[&s.mvm_index], "{context}");
+                }
+            }
+        }
+    }
 }
 
 /// The ops ledger must still see baseline-cost conversions for skipped

@@ -656,7 +656,8 @@ enum BatchStep {
 /// The batcher's end of the request queue, handed to the worker body of
 /// [`Server::with_worker`]. Call [`BatchSource::serve`] with a batch
 /// runner to enter the drain loop; the standard [`Server::start`] wires
-/// it to a [`PimMvm`]-backed [`trq_nn::QuantizedNetwork::forward_batch`].
+/// it to a [`trq_core::pim::PimMvm`]-backed
+/// [`trq_nn::QuantizedNetwork::forward_batch`].
 pub struct BatchSource {
     shared: Arc<Shared>,
 }

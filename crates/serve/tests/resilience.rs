@@ -214,7 +214,9 @@ proptest! {
     /// Shutdown racing a fault storm (panics, delays, errors,
     /// wrong-count replies) still resolves every outstanding ticket —
     /// no hang, no leak — and submits after the shutdown line get the
-    /// typed [`ServeError::ShuttingDown`].
+    /// typed [`ServeError::ShuttingDown`]. A storm that quarantines the
+    /// model first gets its submits refused with the typed
+    /// [`ServeError::ModelQuarantined`]; any other refusal fails.
     #[test]
     fn shutdown_races_fault_storms_without_orphans(
         seed in 0u64..u64::MAX,
@@ -248,6 +250,12 @@ proptest! {
                 Ok(t) => tickets.push((i, t)),
                 Err(ServeError::ShuttingDown) => {
                     prop_assert!(i >= shutdown_after, "refused before the shutdown line");
+                    refused += 1;
+                }
+                // the storm can trip the default quarantine before the
+                // shutdown line: a typed refusal too, on either side of it
+                Err(ServeError::ModelQuarantined(id)) => {
+                    prop_assert_eq!(id, model);
                     refused += 1;
                 }
                 Err(e) => prop_assert!(false, "unexpected refusal: {e}"),

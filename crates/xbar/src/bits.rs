@@ -231,10 +231,10 @@ impl BitMatrix {
     /// windows fastest). Allocation-free: `out` is caller-provided scratch.
     ///
     /// One call covers all `input_bits` cycles of one (subarray ×
-    /// output-block × window-block) tile. Since the specialised kernel
-    /// layer landed this is the **scalar reference path** (kept live on
-    /// `Dispatch::Scope`): its plain zip loop is deliberately independent
-    /// of the [`crate::kernel`] primitives so property tests can pin the
+    /// output-block × window-block) tile. This is the **scalar reference
+    /// kernel**, run by the reference engine in `trq-core`'s tests: its
+    /// plain zip loop is deliberately independent of the fused kernel
+    /// ([`crate::mvm_diff_tile_into`]) so property tests can pin the
     /// fused/skip-enabled kernels against it.
     ///
     /// # Panics

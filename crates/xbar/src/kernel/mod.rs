@@ -318,8 +318,7 @@ impl WindowOcc {
     pub fn all_live(n_planes: usize, n_windows: usize) -> Self {
         let mut occ = WindowOcc::default();
         occ.reset(n_planes, n_windows);
-        occ.live_planes = if n_planes >= 32 { u32::MAX } else { (1u32 << n_planes) - 1 };
-        occ.blocks.fill(u64::MAX);
+        occ.fill_all_live();
         occ
     }
 
@@ -347,6 +346,16 @@ impl WindowOcc {
     /// `block_skip = false` baseline).
     pub fn fill_blocks_live(&mut self) {
         self.blocks.fill(u64::MAX);
+    }
+
+    /// Marks every plane and every block live in place, keeping the
+    /// recorded shape and its capacity — the dense record of
+    /// [`WindowOcc::all_live`] without an allocation, for callers that
+    /// need every tile slot written.
+    pub fn fill_all_live(&mut self) {
+        let n = self.n_planes;
+        self.live_planes = if n >= 32 { u32::MAX } else { (1u32 << n) - 1 };
+        self.fill_blocks_live();
     }
 
     /// The live-plane bitmask (bit `p` set ⇔ plane `p` is non-zero).
@@ -1076,6 +1085,19 @@ mod tests {
         }
         let (e, live) = occ.next_segment(0, 0, 10);
         assert!(live && e == 10, "all-live occupancy must yield one segment");
+    }
+
+    #[test]
+    fn fill_all_live_densifies_a_packed_record_in_place() {
+        let mut occ = WindowOcc::default();
+        occ.reset(8, 10);
+        occ.note(6, 0b10);
+        occ.finish();
+        let cap = occ.footprint_bytes();
+        occ.fill_all_live();
+        assert_eq!(occ.live_planes(), 0xFF, "dead planes must come alive");
+        assert!((0..8).all(|p| occ.range_fully_live(p, 0, 10)), "dead blocks must come alive");
+        assert_eq!(occ.footprint_bytes(), cap, "densifying must not reallocate");
     }
 
     #[test]

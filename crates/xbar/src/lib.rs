@@ -30,7 +30,9 @@
 //! - [`WeightSlicer`] / input bit-plane helpers — the spatial (weight) and
 //!   temporal (input) bit slicing of Fig. 1;
 //! - [`Crossbar`] and [`DiffPair`] — programmed arrays with optional device
-//!   non-idealities ([`NoiseModel`]);
+//!   non-idealities ([`NoiseModel`]), and [`noise::CountNoise`], the
+//!   keyed count-level surrogate the tiled engine in `trq-core` applies
+//!   between the popcount kernel and the decode;
 //! - [`Tia`] and [`SampleHold`] — the analog front-end between bit line and
 //!   ADC.
 //!
@@ -58,7 +60,7 @@ mod crossbar;
 mod error;
 mod frontend;
 mod kernel;
-mod noise;
+pub mod noise;
 mod pair;
 mod slicing;
 

@@ -93,6 +93,88 @@ impl NoiseModel {
     }
 }
 
+/// Mixes one more component into a splitmix64 hash chain, applied per key
+/// component so noise draws are a pure function of their coordinates.
+pub fn mix64(h: u64, v: u64) -> u64 {
+    let mut z = h ^ v.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Maps a 64-bit hash onto a uniform draw in (0, 1] (53-bit mantissa,
+/// never exactly zero — safe under `ln`).
+pub fn unit_open(z: u64) -> f64 {
+    (((z >> 11) + 1) as f64) * (1.0 / (1u64 << 53) as f64)
+}
+
+/// Count-level device noise for one engine call: a Gaussian perturbation
+/// of each bit-line count before decode, standing in for cell-level
+/// programming variation (σ scaling with `sqrt(count)` — the deviation of
+/// a sum of `count` independent cell currents) and additive read noise (σ
+/// in cell-current units, independent of the count). The exact cell-level
+/// model lives in [`crate::DiffPair`]'s analog path; this surrogate keeps
+/// the integer datapath while perturbing exactly what the ADC sees.
+///
+/// Draws are keyed on `(call_seed, subarray, side, plane, column,
+/// window)` — never on tile boundaries or thread ids — so a noisy result
+/// is bit-identical across tilings and thread counts.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CountNoise {
+    sigma_prog: f64,
+    sigma_read: f64,
+    /// `mix64(mix64(seed, layer), epoch)` — one stream per layer call.
+    call_seed: u64,
+    /// Physical count ceiling (crossbar rows); noisy counts clamp here so
+    /// table lookups stay in range.
+    max_count: u32,
+}
+
+impl CountNoise {
+    /// The count noise of one call on MVM layer `layer` at read-noise
+    /// epoch `epoch`, clamping to `max_count`; `None` when `model` has no
+    /// count-level noise (ideal or stuck-at only).
+    pub fn for_call(model: &NoiseModel, layer: usize, epoch: u64, max_count: u32) -> Option<Self> {
+        if model.sigma_prog == 0.0 && model.sigma_read == 0.0 {
+            return None;
+        }
+        Some(CountNoise {
+            sigma_prog: model.sigma_prog,
+            sigma_read: model.sigma_read,
+            call_seed: mix64(mix64(model.seed, layer as u64), epoch),
+            max_count,
+        })
+    }
+
+    /// The noisy count for one bit-line observation: subarray `s`, `side`
+    /// 0 = pos and 1 = neg, input bit-plane `plane`, absolute weight
+    /// column `col` and window `window`.
+    pub fn perturb(
+        &self,
+        s: usize,
+        side: u64,
+        plane: usize,
+        col: usize,
+        window: usize,
+        count: u32,
+    ) -> u32 {
+        let mut h = mix64(self.call_seed, s as u64);
+        h = mix64(h, side);
+        h = mix64(h, plane as u64);
+        h = mix64(h, col as u64);
+        h = mix64(h, window as u64);
+        // one Box–Muller pair per slot: cos-branch perturbs for
+        // programming variation, sin-branch for read noise
+        let u1 = unit_open(h);
+        let u2 = unit_open(mix64(h, 0x5851_F42D_4C95_7F2D));
+        let r = (-2.0 * u1.ln()).sqrt();
+        let (sin_t, cos_t) = (std::f64::consts::TAU * u2).sin_cos();
+        let c = f64::from(count);
+        let noisy = c + self.sigma_prog * c.sqrt() * (r * cos_t) + self.sigma_read * (r * sin_t);
+        noisy.round().clamp(0.0, f64::from(self.max_count)) as u32
+    }
+}
+
 fn standard_normal(rng: &mut StdRng) -> f64 {
     loop {
         let u1: f64 = rng.gen();
@@ -148,6 +230,18 @@ mod tests {
         let on_rate = on as f64 / n as f64;
         assert!((on_rate - 0.1).abs() < 0.01, "stuck-on rate {on_rate}");
         assert!(off > 0);
+    }
+
+    #[test]
+    fn count_noise_is_off_without_sigmas_and_clamps_to_the_array() {
+        let stuck = NoiseModel { stuck_off_rate: 0.1, seed: 5, ..Default::default() };
+        assert_eq!(CountNoise::for_call(&stuck, 0, 0, 128), None);
+        let loud = NoiseModel { sigma_read: 50.0, seed: 5, ..Default::default() };
+        let noise = CountNoise::for_call(&loud, 2, 7, 128).unwrap();
+        let draws: Vec<u32> = (0..64).map(|w| noise.perturb(0, 1, 3, 9, w, 64)).collect();
+        assert!(draws.iter().all(|&c| c <= 128), "noisy counts clamp to the array height");
+        assert!(draws.contains(&0) && draws.contains(&128), "σ 50 must hit both clamps");
+        assert_eq!(draws[5], noise.perturb(0, 1, 3, 9, 5, 64), "draws are keyed, not streamed");
     }
 
     #[test]

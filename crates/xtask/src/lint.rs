@@ -7,7 +7,7 @@
 //!    attributes/blank lines). The workspace denies `unsafe_code`, so the
 //!    few sanctioned `#[allow]` sites must carry their invariant.
 //! 2. **ordering** — explicit atomic `Ordering::` arguments are confined
-//!    to a per-file allowlist ([`ORDERING_ALLOWLIST`]); everywhere else,
+//!    to a per-file allowlist (`ORDERING_ALLOWLIST`); everywhere else,
 //!    atomics must go through an allowlisted module or not be used.
 //!    Memory-ordering choices concentrate where they have been audited.
 //! 3. **unwrap** — `.unwrap()` / `.expect(` are banned in non-test

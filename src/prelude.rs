@@ -9,7 +9,7 @@
 //! [`crate::core`], [`crate::xbar`], [`crate::adc`], ….
 
 pub use crate::Error;
-pub use trq_core::arch::{ArchConfig, Dispatch, ExecConfig};
+pub use trq_core::arch::{ArchConfig, ExecConfig};
 pub use trq_core::calib::{algorithm1, CalibError, CalibSettings};
 pub use trq_core::pim::{AdcScheme, PimMvm, PimStats};
 pub use trq_nn::{data, models, MvmEngine, Network, NnError, QuantizedNetwork};

@@ -7,7 +7,7 @@
 //! ledger.
 
 use proptest::prelude::*;
-use trq::core::arch::{ArchConfig, Dispatch, ExecConfig};
+use trq::core::arch::{ArchConfig, ExecConfig};
 use trq::core::pim::{AdcScheme, PimMvm};
 use trq::nn::{ExactMvm, MvmEngine, MvmLayerInfo};
 use trq::quant::{TrqParams, TwinRangeQuantizer};
@@ -155,8 +155,8 @@ proptest! {
     /// the shared pool, driven through many mixed-shape `mvm_into` calls
     /// (different layers, window counts, and inputs), must stay
     /// bit-identical — values and the op/conversion ledger — to a fresh
-    /// per-call engine using the PR 2 scoped-thread dispatch, and to
-    /// [`ExactMvm`] on ideal layers, for threads ∈ {1, 4}.
+    /// serial engine per call with default tiles, and to [`ExactMvm`] on
+    /// ideal layers, for threads ∈ {1, 4}.
     #[test]
     fn persistent_pool_engine_stays_bit_identical_across_mixed_calls(
         shapes in proptest::collection::vec((1usize..180, 1usize..6), 3..4),
@@ -178,8 +178,8 @@ proptest! {
             })
             .collect();
         for threads in [1usize, 4] {
-            let pool_arch = ArchConfig::default().with_exec(ExecConfig::serial() .with_threads(threads) .with_tile_outputs(tile_outputs) .with_tile_windows(tile_windows) .with_dispatch(Dispatch::Pool));
-            let scope_arch = ArchConfig::default().with_exec(pool_arch.exec.with_dispatch(Dispatch::Scope));
+            let pool_arch = ArchConfig::default().with_exec(ExecConfig::serial() .with_threads(threads) .with_tile_outputs(tile_outputs) .with_tile_windows(tile_windows));
+            let serial_arch = ArchConfig::default();
             let mut persistent = PimMvm::new(pool_arch, plan.clone());
             let (mut want_ops, mut want_conversions) = (0u64, 0u64);
             for &(which, n, seed) in &calls {
@@ -191,8 +191,8 @@ proptest! {
                 info.mvm_index = which;
                 let got = persistent.mvm(&info, weights, &cols, n);
 
-                // reference: a fresh engine per call, scoped dispatch
-                let mut fresh = PimMvm::new(scope_arch, plan.clone());
+                // reference: a fresh serial engine per call, default tiles
+                let mut fresh = PimMvm::new(serial_arch, plan.clone());
                 let want = fresh.mvm(&info, weights, &cols, n);
                 prop_assert_eq!(
                     &got, &want,
@@ -216,7 +216,7 @@ proptest! {
 }
 
 /// One persistent-pool engine driven through repeated `forward_batch`
-/// sessions must match per-batch fresh scoped-dispatch engines bitwise
+/// sessions must match per-batch fresh serial engines bitwise
 /// (outputs and ledgers), and pool-sharded calibration (sample
 /// collection + `evaluate_plan` + `plan_network`) must stay
 /// deterministic while the pool is in play.
@@ -236,13 +236,13 @@ fn pool_session_forward_batch_and_calibration_are_bit_stable() {
 
     let pool_arch = ArchConfig::default()
         .with_exec(ExecConfig::serial().with_threads(4).with_tile_outputs(2).with_tile_windows(2));
-    let scope_arch = ArchConfig::default().with_exec(pool_arch.exec.with_dispatch(Dispatch::Scope));
+    let serial_arch = ArchConfig::default();
 
     // one engine, many batch sessions
     let mut persistent = PimMvm::new(pool_arch, plan.clone());
     for batch in [&images[..3], &images[3..8], &images[..8]] {
         let got = qnet.forward_batch(batch, &mut persistent).unwrap();
-        let mut fresh = PimMvm::new(scope_arch, plan.clone());
+        let mut fresh = PimMvm::new(serial_arch, plan.clone());
         let want = qnet.forward_batch(batch, &mut fresh).unwrap();
         assert_eq!(got.len(), want.len());
         for (g, w) in got.iter().zip(want.iter()) {
@@ -265,7 +265,7 @@ fn pool_session_forward_batch_and_calibration_are_bit_stable() {
 
     let metric = EvalMetric::Fidelity(&images);
     let eval_a = evaluate_plan(&qnet, &pool_arch, &plan, &metric).unwrap();
-    let eval_b = evaluate_plan(&qnet, &scope_arch, &plan, &metric).unwrap();
+    let eval_b = evaluate_plan(&qnet, &serial_arch, &plan, &metric).unwrap();
     assert_eq!(eval_a.score, eval_b.score, "pool-sharded eval changed the score");
     assert_eq!(eval_a.stats.ops(), eval_b.stats.ops());
     assert_eq!(eval_a.stats.conversions(), eval_b.stats.conversions());
