@@ -12,7 +12,7 @@ use trq_check::{explore, Config};
 use trq_core::exec::Pool;
 use trq_core::pim::PimStats;
 use trq_nn::NnError;
-use trq_serve::{BatchPolicy, ModelId, QuarantinePolicy, ServeError, Server};
+use trq_serve::{BatchPolicy, ModelId, QuarantinePolicy, ServeError, Server, Ticket};
 use trq_tensor::Tensor;
 
 fn assert_exhaustive(name: &str, report: &trq_check::Report) {
@@ -69,17 +69,19 @@ fn pool_round_barrier_holds() {
     assert_exhaustive("pool round barrier", &report);
 }
 
-fn tiny_image() -> Tensor {
-    Tensor::from_vec(vec![1], vec![1.0]).expect("1-element tensor")
+/// A 1-element image; the echo backends answer with it, so the tag
+/// identifies the request a response belongs to.
+fn image(tag: f32) -> Tensor {
+    Tensor::from_vec(vec![1], vec![tag]).expect("1-element tensor")
 }
 
-/// Minimal-state-space policy for serve models: single-request batches,
-/// no straggler wait (skips the timed coalescing loop), and quarantine
-/// disabled unless a model needs it.
+/// Minimal-state-space policy for serve models: single-request batches
+/// and quarantine disabled unless a model needs it. The batcher makes no
+/// timed wait, so every model drives its whole batch-formation path;
+/// the coalescing model raises `max_batch` to 2.
 fn model_policy() -> BatchPolicy {
     BatchPolicy::default()
         .with_max_batch(1)
-        .with_max_wait(Duration::ZERO)
         .with_queue_cap(2)
         .with_quarantine(QuarantinePolicy::disabled())
 }
@@ -100,7 +102,7 @@ fn serve_shutdown_vs_submit_resolves_every_ticket_once() {
         }));
         let s2 = Arc::clone(&server);
         let submitter =
-            trq_check::thread::spawn(move || match s2.submit(ModelId::new(0), tiny_image()) {
+            trq_check::thread::spawn(move || match s2.submit(ModelId::new(0), image(1.0)) {
                 Ok(ticket) => Some(ticket.wait()),
                 Err(err) => {
                     assert!(
@@ -148,14 +150,14 @@ fn serve_quarantine_trips_before_ticket_completion() {
             })
         });
         let m = ModelId::new(0);
-        let ticket = server.submit(m, tiny_image()).expect("queue is empty at first submit");
+        let ticket = server.submit(m, image(1.0)).expect("queue is empty at first submit");
         let first = ticket.wait();
         assert!(
             matches!(first, Err(ServeError::Forward(_))),
             "the seeded failure must surface as Forward, got {first:?}"
         );
         // the failure has been observed -> the trip must already be in place
-        let resubmit = server.submit(m, tiny_image());
+        let resubmit = server.submit(m, image(1.0));
         assert!(
             matches!(resubmit, Err(ServeError::ModelQuarantined(id)) if id == m),
             "resubmit after an observed failure must hit the quarantine gate, got {resubmit:?}"
@@ -163,4 +165,53 @@ fn serve_quarantine_trips_before_ticket_completion() {
         drop(server);
     });
     assert_exhaustive("serve quarantine probe ordering", &report);
+}
+
+/// Coalescing racing shutdown at `max_batch` 2: requests 1 and 2 queue
+/// while request 0's batch runs. Every admitted ticket is served exactly
+/// once, no batch exceeds 2, slot `i` answers request `i` (the echo
+/// carries its tag), and a refusal is the shutdown gate. Outcomes are
+/// checked after the server drops, so a failure reports its schedule
+/// instead of unwinding through the batcher's join.
+#[test]
+fn serve_coalescing_answers_every_slot_once() {
+    static SAW_PAIR: AtomicBool = AtomicBool::new(false);
+    let report = explore(Config::default(), || {
+        let policy = model_policy().with_max_batch(2).with_queue_cap(3);
+        let server = Arc::new(Server::with_worker(policy, |source| {
+            source.serve(|_model: ModelId, images: &[Tensor]| {
+                if images.len() == 2 {
+                    SAW_PAIR.store(true, Ordering::SeqCst);
+                }
+                Ok((images.to_vec(), PimStats::default()))
+            })
+        }));
+        let m = ModelId::new(0);
+        let first = server.submit(m, image(0.0)).expect("intake is open before shutdown");
+        let s2 = Arc::clone(&server);
+        let submitter = trq_check::thread::spawn(move || {
+            // submit both, then wait both, so they can share a batch
+            let tickets = [1.0, 2.0].map(|tag| (tag, s2.submit(m, image(tag))));
+            tickets.map(|(tag, ticket)| (tag, ticket.map(Ticket::wait)))
+        });
+        server.begin_shutdown();
+        let mut outcomes = vec![(0.0, Ok(first.wait()))];
+        outcomes.extend(submitter.join().expect("submitter must not panic"));
+        drop(server);
+        for (tag, outcome) in outcomes {
+            match outcome {
+                Err(refused) => assert!(
+                    matches!(refused, ServeError::ShuttingDown),
+                    "pre-queue refusal must be the shutdown gate, got {refused:?}"
+                ),
+                Ok(result) => {
+                    let response = result.expect("an admitted request is served by the drain");
+                    assert!(response.batch_size <= 2, "batch of {} > 2", response.batch_size);
+                    assert_eq!(response.output.data(), &[tag], "slot answered another request");
+                }
+            }
+        }
+    });
+    assert_exhaustive("serve coalescing", &report);
+    assert!(SAW_PAIR.load(Ordering::SeqCst), "no explored schedule formed a batch of 2");
 }

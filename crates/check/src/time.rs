@@ -26,6 +26,13 @@ impl Instant {
         Duration::from_nanos(Instant::now().0.saturating_sub(self.0))
     }
 
+    /// `None` when `self + duration` does not fit the tick counter,
+    /// mirroring `std`'s `checked_add`.
+    pub fn checked_add(&self, duration: Duration) -> Option<Instant> {
+        let nanos = u64::try_from(duration.as_nanos()).ok()?;
+        self.0.checked_add(nanos).map(Instant)
+    }
+
     /// Saturating difference, mirroring `std`'s `saturating_duration_since`.
     pub fn saturating_duration_since(&self, earlier: Instant) -> Duration {
         Duration::from_nanos(self.0.saturating_sub(earlier.0))

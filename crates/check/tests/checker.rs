@@ -243,7 +243,7 @@ fn preemption_bound_monotonicity() {
 }
 
 /// The logical clock is deterministic and monotonic; `Instant` arithmetic
-/// mirrors std's saturating behaviour.
+/// mirrors std's saturating and checked behaviour.
 #[test]
 fn logical_clock_behaviour() {
     let report = explore(Config::default(), || {
@@ -253,6 +253,8 @@ fn logical_clock_behaviour() {
         assert_eq!(t1.saturating_duration_since(t0), std::time::Duration::from_nanos(1));
         assert_eq!(t0.saturating_duration_since(t1), std::time::Duration::ZERO);
         assert!(t0 + std::time::Duration::from_secs(1) > t1);
+        assert_eq!(t0.checked_add(std::time::Duration::from_nanos(1)), Some(t1));
+        assert_eq!(t0.checked_add(std::time::Duration::MAX), None);
     });
     assert!(report.failure.is_none(), "{report}");
 }

@@ -5,10 +5,14 @@
 //! **deterministic micro-batcher**. Callers submit single images to a
 //! named model ([`Server::submit`] / [`Server::try_submit`] with a
 //! [`ModelId`]) and get a [`Ticket`] back; a dedicated batcher thread
-//! coalesces whatever is queued — up to [`BatchPolicy::max_batch`],
-//! waiting at most [`BatchPolicy::max_wait`] for stragglers — into single
-//! [`trq_nn::QuantizedNetwork::forward_batch`] calls on the selected model's
-//! engine, then hands each ticket its own image's output.
+//! coalesces whatever is queued — up to [`BatchPolicy::max_batch`] — into
+//! single [`trq_nn::QuantizedNetwork::forward_batch`] calls on the selected
+//! model's engine, then hands each ticket its own image's output.
+//!
+//! The batcher is **work-conserving**: it never holds a request back to
+//! wait for company. A request that finds the engine idle runs at once
+//! (a batch of 1); requests that arrive while the engine is busy queue up
+//! and form the next batch together.
 //!
 //! Key properties:
 //!
@@ -175,17 +179,14 @@ impl QuarantinePolicy {
     }
 }
 
-/// How the micro-batcher forms batches, how much work it may hold, and
-/// how it degrades under overload and faults.
+/// How big a micro-batch may grow, how much work the server may hold,
+/// and how it degrades under overload and faults. There is no batching
+/// delay: batches grow only from requests queued behind a busy engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchPolicy {
     /// Largest number of requests coalesced into one engine call
     /// (clamped to ≥ 1).
     pub max_batch: usize,
-    /// After the first request of a batch arrives, how long the batcher
-    /// waits for more before running a partial batch. `Duration::ZERO`
-    /// runs with whatever is queued at drain time.
-    pub max_wait: Duration,
     /// Bound on queued (not yet batched) requests — the backpressure
     /// knob (clamped to ≥ 1).
     pub queue_cap: usize,
@@ -202,15 +203,14 @@ pub struct BatchPolicy {
 }
 
 impl Default for BatchPolicy {
-    /// The reference policy: `max_batch = 16`, `max_wait = 1 ms`,
-    /// `queue_cap = 256`, no deadline, blocking admission, and the
-    /// default quarantine schedule. Start here and adjust with the
-    /// builder setters rather than struct literals — the setters survive
-    /// future policy fields without breaking callers.
+    /// The reference policy: `max_batch = 16`, `queue_cap = 256`, no
+    /// deadline, blocking admission, and the default quarantine
+    /// schedule. Start here and adjust with the builder setters rather
+    /// than struct literals — the setters survive future policy fields
+    /// without breaking callers.
     fn default() -> Self {
         BatchPolicy {
             max_batch: 16,
-            max_wait: Duration::from_millis(1),
             queue_cap: 256,
             deadline: None,
             shed: ShedPolicy::Block,
@@ -224,13 +224,6 @@ impl BatchPolicy {
     #[must_use]
     pub fn with_max_batch(mut self, max_batch: usize) -> Self {
         self.max_batch = max_batch;
-        self
-    }
-
-    /// Builder: sets the straggler wait.
-    #[must_use]
-    pub fn with_max_wait(mut self, max_wait: Duration) -> Self {
-        self.max_wait = max_wait;
         self
     }
 
@@ -265,7 +258,6 @@ impl BatchPolicy {
     fn normalized(self) -> Self {
         BatchPolicy {
             max_batch: self.max_batch.max(1),
-            max_wait: self.max_wait,
             queue_cap: self.queue_cap.max(1),
             deadline: self.deadline,
             shed: self.shed,
@@ -486,24 +478,26 @@ impl Ticket {
     /// Bounded wait: blocks up to `timeout` for the result. Returns
     /// `None` on timeout; like [`Ticket::poll`] the result stays
     /// claimable, so a timed-out ticket can be waited again (or
-    /// abandoned — the batcher still resolves it, nothing leaks).
+    /// abandoned — the batcher still resolves it, nothing leaks). A
+    /// timeout too long for an `Instant` to represent never expires.
     pub fn wait_timeout(&self, timeout: Duration) -> Option<Result<Response, ServeError>> {
-        let deadline = Instant::now() + timeout;
+        let deadline = Instant::now().checked_add(timeout);
         let mut slot = self.shared.result.lock().unwrap_or_else(PoisonError::into_inner);
         loop {
             if slot.is_some() {
                 return slot.clone();
             }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            let (guard, _) = self
-                .shared
-                .ready
-                .wait_timeout(slot, deadline - now)
-                .unwrap_or_else(PoisonError::into_inner);
-            slot = guard;
+            slot = match deadline {
+                None => self.shared.ready.wait(slot).unwrap_or_else(PoisonError::into_inner),
+                Some(deadline) => {
+                    let now = Instant::now();
+                    if now >= deadline {
+                        return None;
+                    }
+                    let waited = self.shared.ready.wait_timeout(slot, deadline - now);
+                    waited.unwrap_or_else(PoisonError::into_inner).0
+                }
+            };
         }
     }
 }
@@ -518,15 +512,22 @@ struct Request {
     ticket: Arc<TicketShared>,
 }
 
+/// The absolute expiry of a request submitted now with `deadline`. A
+/// deadline too long for an `Instant` to represent never expires.
+fn expiry(deadline: Option<Duration>) -> Option<Instant> {
+    deadline.and_then(|d| Instant::now().checked_add(d))
+}
+
 /// Per-model failure-tracking state, kept under the queue lock so the
 /// admission path and the batcher see one consistent view.
 #[derive(Debug, Clone, Default)]
 struct ModelHealth {
     /// Consecutive failed batches since the last success.
     consecutive_failures: u32,
-    /// `Some(t)`: quarantined until `t`; the first batch formed at or
-    /// after `t` runs as the probe.
-    quarantined_until: Option<Instant>,
+    /// `Some((since, period))`: quarantined for `period` from `since`
+    /// (no end instant, which a huge period would overflow); the first
+    /// batch formed after that runs as the probe.
+    quarantine: Option<(Instant, Duration)>,
     /// The period the *next* quarantine entry will use (exponential).
     next_backoff: Option<Duration>,
     /// Times this model entered quarantine.
@@ -559,14 +560,14 @@ impl QueueState {
         }
         &mut self.health[model.index()]
     }
+}
 
-    /// Is `model` quarantined (and not yet due for its probe) at `now`?
-    fn quarantined_at(&self, model: ModelId, now: Instant) -> bool {
-        self.health
-            .get(model.index())
-            .and_then(|h| h.quarantined_until)
-            .is_some_and(|until| now < until)
-    }
+/// Is `model` quarantined (and not yet due for its probe) at `now`?
+fn quarantined(health: &[ModelHealth], model: ModelId, now: Instant) -> bool {
+    health
+        .get(model.index())
+        .and_then(|h| h.quarantine)
+        .is_some_and(|(since, period)| now.saturating_duration_since(since) < period)
 }
 
 struct Shared {
@@ -638,19 +639,13 @@ where
     }
 }
 
-/// A batch the batcher formed, plus whether it is a quarantine probe
-/// (whose model needs the backend's recovery action first).
+/// A non-empty batch the batcher formed for one model, plus whether it
+/// is a quarantine probe (whose model needs the backend's recovery
+/// action first).
 struct PreparedBatch {
+    model: ModelId,
     requests: Vec<Request>,
     probe: bool,
-}
-
-/// One pass of the batcher's wait loop: a batch, a clean exit, or "swept
-/// tickets need resolving before parking — call again".
-enum BatchStep {
-    Ready(PreparedBatch),
-    Done,
-    Again,
 }
 
 /// The batcher's end of the request queue, handed to the worker body of
@@ -674,26 +669,20 @@ impl BatchSource {
         now: Instant,
         victims: &mut Vec<(Arc<TicketShared>, ServeError)>,
     ) {
-        if st
-            .queue
-            .iter()
-            .all(|r| r.deadline.is_none_or(|d| now < d) && !st.quarantined_at(r.model, now))
-        {
-            return; // common case: nothing to sweep, no churn
-        }
-        let mut kept = VecDeque::with_capacity(st.queue.len());
-        while let Some(request) = st.queue.pop_front() {
-            if request.deadline.is_some_and(|d| now >= d) {
-                st.expired += 1;
-                victims.push((request.ticket, ServeError::DeadlineExceeded));
-            } else if st.quarantined_at(request.model, now) {
-                st.quarantine_refused += 1;
-                victims.push((request.ticket, ServeError::ModelQuarantined(request.model)));
+        let QueueState { queue, health, expired, quarantine_refused, .. } = st;
+        queue.retain(|r| {
+            let err = if r.deadline.is_some_and(|d| now >= d) {
+                *expired += 1;
+                ServeError::DeadlineExceeded
+            } else if quarantined(health, r.model, now) {
+                *quarantine_refused += 1;
+                ServeError::ModelQuarantined(r.model)
             } else {
-                kept.push_back(request);
-            }
-        }
-        st.queue = kept;
+                return true;
+            };
+            victims.push((Arc::clone(&r.ticket), err));
+            false
+        });
     }
 
     /// Waits for the next micro-batch, or `None` when the server is
@@ -709,109 +698,49 @@ impl BatchSource {
     /// shape-uniform (no [`NnError::BatchShape`] rejections at runtime)
     /// while staying deterministic in arrival order.
     fn next_batch(&self) -> Option<PreparedBatch> {
-        loop {
-            let mut victims: Vec<(Arc<TicketShared>, ServeError)> = Vec::new();
-            let step = self.next_batch_step(&mut victims);
-            if !victims.is_empty() {
-                // resolve swept tickets outside the lock; their queue
-                // slots are free, so blocked submitters can re-check
-                self.shared.vacated.notify_all();
-                for (ticket, err) in victims {
-                    ticket.complete(Err(err));
-                }
-            }
-            match step {
-                BatchStep::Ready(batch) => return Some(batch),
-                BatchStep::Done => return None,
-                BatchStep::Again => {}
-            }
-        }
-    }
-
-    fn next_batch_step(&self, victims: &mut Vec<(Arc<TicketShared>, ServeError)>) -> BatchStep {
-        let policy = self.shared.policy;
+        let max_batch = self.shared.policy.max_batch;
         let mut st = self.shared.lock();
         loop {
-            Self::sweep_locked(&mut st, Instant::now(), victims);
-            if !st.queue.is_empty() {
-                break;
+            let mut victims = Vec::new();
+            Self::sweep_locked(&mut st, Instant::now(), &mut victims);
+            // park only with nothing to run, nothing to resolve, and no
+            // shutdown to finish
+            if st.queue.is_empty() && !st.draining && victims.is_empty() {
+                st = self.shared.arrived.wait(st).unwrap_or_else(PoisonError::into_inner);
+                continue;
             }
-            if st.draining {
-                return BatchStep::Done;
-            }
-            if !victims.is_empty() {
-                // never park while holding unresolved tickets — hand them
-                // to the caller, then come back and wait
-                return BatchStep::Again;
-            }
-            st = self.shared.arrived.wait(st).unwrap_or_else(PoisonError::into_inner);
-        }
-        // micro-batch fill: give stragglers up to `max_wait` to coalesce
-        // into this engine call (skipped while draining — the goal then
-        // is to finish, not to optimise batch shape). Two cases already
-        // bound the batch and make waiting pointless: a different model
-        // or shape inside the first `max_batch` entries (the batch is
-        // cut there no matter what arrives), and a queue at capacity
-        // (nothing new can arrive until the batcher itself drains).
-        if policy.max_wait > Duration::ZERO {
-            let batch_bounded = |st: &QueueState| {
-                let head = &st.queue[0];
-                let head_dims = head.image.shape().dims();
-                let head_model = head.model;
-                st.queue
-                    .iter()
-                    .take(policy.max_batch)
-                    .skip(1)
-                    .any(|r| r.model != head_model || r.image.shape().dims() != head_dims)
+            let batch = match st.queue.front() {
+                // work-conserving: the engine is free, so run the head's
+                // same-(model, shape) run from whatever is queued now
+                Some(head) => {
+                    let (model, dims) = (head.model, head.image.shape().dims());
+                    let run = st
+                        .queue
+                        .iter()
+                        .take(max_batch)
+                        .take_while(|r| r.model == model && r.image.shape().dims() == dims)
+                        .count();
+                    // a head model carrying a quarantine mark survived the
+                    // sweep, so its backoff has elapsed: this batch is the probe
+                    let probe =
+                        st.health.get(model.index()).is_some_and(|h| h.quarantine.is_some());
+                    Some(PreparedBatch { model, requests: st.queue.drain(..run).collect(), probe })
+                }
+                None => None,
             };
-            let deadline = Instant::now() + policy.max_wait;
-            while st.queue.len() < policy.max_batch.min(policy.queue_cap)
-                && !st.draining
-                && !batch_bounded(&st)
-            {
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                let (guard, timeout) = self
-                    .shared
-                    .arrived
-                    .wait_timeout(st, deadline - now)
-                    .unwrap_or_else(PoisonError::into_inner);
-                st = guard;
-                if timeout.timed_out() {
-                    break;
-                }
+            let exit = batch.is_some() || st.draining;
+            drop(st);
+            // the batch and the sweep freed queue slots: blocked submitters
+            // re-check, and swept tickets resolve outside the lock
+            self.shared.vacated.notify_all();
+            for (ticket, err) in victims {
+                ticket.complete(Err(err));
             }
-            // time passed while coalescing: re-sweep so a deadline that
-            // expired during the straggler wait never reaches the engine
-            Self::sweep_locked(&mut st, Instant::now(), victims);
-        }
-        let Some(head) = st.queue.front() else {
-            // the straggler-wait sweep emptied the queue
-            return BatchStep::Again;
-        };
-        let head_model = head.model;
-        let head_dims = head.image.shape().dims().to_vec();
-        // a head model carrying a quarantine mark survived the sweep, so
-        // its backoff has elapsed: this batch runs as the probe
-        let probe =
-            st.health.get(head_model.index()).is_some_and(|h| h.quarantined_until.is_some());
-        let mut batch = Vec::new();
-        while batch.len() < policy.max_batch {
-            match st.queue.front() {
-                Some(r) if r.model == head_model && r.image.shape().dims() == head_dims => {
-                    match st.queue.pop_front() {
-                        Some(request) => batch.push(request),
-                        None => break,
-                    }
-                }
-                _ => break,
+            if exit {
+                return batch;
             }
+            st = self.shared.lock();
         }
-        drop(st);
-        self.shared.vacated.notify_all();
-        BatchStep::Ready(PreparedBatch { requests: batch, probe })
     }
 
     /// Applies one batch outcome to the model's failure tracker under the
@@ -828,8 +757,8 @@ impl BatchSource {
         let health = st.health_mut(model);
         if success {
             health.consecutive_failures = 0;
-            if health.quarantined_until.is_some() {
-                health.quarantined_until = None;
+            if health.quarantine.is_some() {
+                health.quarantine = None;
                 health.next_backoff = None;
                 health.reinstates += 1;
             }
@@ -838,9 +767,9 @@ impl BatchSource {
         health.consecutive_failures += 1;
         if probe || health.consecutive_failures >= q.threshold {
             let backoff = health.next_backoff.unwrap_or(q.backoff);
-            health.quarantined_until = Some(Instant::now() + backoff);
+            health.quarantine = Some((Instant::now(), backoff));
             health.next_backoff =
-                Some((backoff * q.backoff_factor).min(q.max_backoff).max(backoff));
+                Some(backoff.saturating_mul(q.backoff_factor).min(q.max_backoff).max(backoff));
             health.trips += 1;
             health.consecutive_failures = 0;
         }
@@ -866,12 +795,8 @@ impl BatchSource {
     /// [`BatchBackend::recover`] action.
     pub fn serve<B: BatchBackend>(self, mut backend: B) -> ServeReport {
         let mut report = ServeReport::default();
-        while let Some(PreparedBatch { requests: batch, probe }) = self.next_batch() {
+        while let Some(PreparedBatch { model, requests: batch, probe }) = self.next_batch() {
             let batch_size = batch.len();
-            let model = match batch.first() {
-                Some(head) => head.model,
-                None => continue, // defensive: the batcher never forms empty batches
-            };
             let mut images = Vec::with_capacity(batch_size);
             let mut waiters = Vec::with_capacity(batch_size);
             for request in batch {
@@ -1078,7 +1003,8 @@ impl Server {
     /// request (overriding the policy default). The deadline bounds the
     /// whole request: blocking admission, queueing, and drain — a ticket
     /// whose deadline passes before its batch forms resolves as
-    /// [`ServeError::DeadlineExceeded`] instead of running.
+    /// [`ServeError::DeadlineExceeded`] instead of running. A deadline
+    /// too long for an `Instant` to represent never expires.
     ///
     /// # Errors
     ///
@@ -1099,7 +1025,7 @@ impl Server {
         deadline: Option<Duration>,
     ) -> Result<Ticket, ServeError> {
         self.check_model(model)?;
-        let expires = deadline.map(|d| Instant::now() + d);
+        let expires = expiry(deadline);
         let mut st = self.shared.lock();
         loop {
             if st.draining || st.dead {
@@ -1113,7 +1039,7 @@ impl Server {
                 st.expired += 1;
                 return Err(ServeError::DeadlineExceeded);
             }
-            if st.quarantined_at(model, now) {
+            if quarantined(&st.health, model, now) {
                 return Err(ServeError::ModelQuarantined(model));
             }
             if st.queue.len() < self.shared.policy.queue_cap {
@@ -1169,12 +1095,12 @@ impl Server {
     /// [`ServeError::ShuttingDown`] once shutdown has begun.
     pub fn try_submit(&self, model: ModelId, image: Tensor) -> Result<Ticket, ServeError> {
         self.check_model(model)?;
-        let expires = self.shared.policy.deadline.map(|d| Instant::now() + d);
+        let expires = expiry(self.shared.policy.deadline);
         let mut st = self.shared.lock();
         if st.draining || st.dead {
             return Err(ServeError::ShuttingDown);
         }
-        if st.quarantined_at(model, Instant::now()) {
+        if quarantined(&st.health, model, Instant::now()) {
             return Err(ServeError::ModelQuarantined(model));
         }
         if st.queue.len() >= self.shared.policy.queue_cap {
@@ -1299,26 +1225,42 @@ mod tests {
 
     /// The model id the single-model tests route everything through.
     const M0: ModelId = ModelId::new(0);
+    /// Bound on every wait a test could hang in, so a regression fails
+    /// the test instead of stalling the suite.
+    const BOUND: Duration = Duration::from_secs(30);
+
+    /// Waits (bounded) for a ticket that must be served.
+    fn served(ticket: &Ticket) -> Response {
+        ticket.wait_timeout(BOUND).expect("resolves within the bound").expect("served")
+    }
 
     fn image(tag: f32) -> Tensor {
         Tensor::from_vec(vec![4], vec![tag, tag + 1.0, tag + 2.0, tag + 3.0]).unwrap()
     }
 
-    /// An echo backend: waits for the gate, then answers each request
-    /// with its own input. Exercises the queue/ticket machinery without
-    /// a network.
+    /// An echo backend: answers each request with its own input.
+    /// Exercises the queue/ticket machinery without a network.
+    fn echo(_model: ModelId, images: &[Tensor]) -> Result<(Vec<Tensor>, PimStats), NnError> {
+        Ok((images.to_vec(), PimStats::default()))
+    }
+
+    fn echo_server(policy: BatchPolicy) -> Server {
+        Server::with_worker(policy, |source| source.serve(echo))
+    }
+
+    /// An echo server whose batcher starts once the gate opens.
     fn gated_echo_server(policy: BatchPolicy, gate: &Arc<Gate>) -> Server {
         let gate = Arc::clone(gate);
         Server::with_worker(policy, move |source| {
             gate.wait_open();
-            source.serve(|_model, images: &[Tensor]| Ok((images.to_vec(), PimStats::default())))
+            source.serve(echo)
         })
     }
 
     #[test]
     fn try_submit_applies_backpressure() {
         let gate = Gate::new();
-        let policy = BatchPolicy::default().with_queue_cap(2).with_max_wait(Duration::ZERO);
+        let policy = BatchPolicy::default().with_queue_cap(2);
         let server = gated_echo_server(policy, &gate);
         let t1 = server.try_submit(M0, image(0.0)).expect("slot 1");
         let t2 = server.try_submit(M0, image(4.0)).expect("slot 2");
@@ -1332,7 +1274,7 @@ mod tests {
     #[test]
     fn blocking_submit_waits_for_space() {
         let gate = Gate::new();
-        let policy = BatchPolicy::default().with_queue_cap(1).with_max_wait(Duration::ZERO);
+        let policy = BatchPolicy::default().with_queue_cap(1);
         let server = Arc::new(gated_echo_server(policy, &gate));
         let _t1 = server.submit(M0, image(0.0)).expect("slot 1");
         let server2 = Arc::clone(&server);
@@ -1347,7 +1289,7 @@ mod tests {
     #[test]
     fn shutdown_drains_queued_requests() {
         let gate = Gate::new();
-        let policy = BatchPolicy::default().with_max_batch(2).with_max_wait(Duration::ZERO);
+        let policy = BatchPolicy::default().with_max_batch(2);
         let server = gated_echo_server(policy, &gate);
         let tickets: Vec<Ticket> =
             (0..5).map(|i| server.submit(M0, image(i as f32)).expect("enqueue")).collect();
@@ -1370,7 +1312,7 @@ mod tests {
     #[test]
     fn batch_error_fails_only_its_own_tickets() {
         // backend that rejects any batch whose head is negative
-        let policy = BatchPolicy::default().with_max_batch(1).with_max_wait(Duration::ZERO);
+        let policy = BatchPolicy::default().with_max_batch(1);
         let server = Server::with_worker(policy, move |source| {
             source.serve(|_model, images: &[Tensor]| {
                 if images[0].data()[0] < 0.0 {
@@ -1394,7 +1336,7 @@ mod tests {
     fn batch_panic_fails_tickets_but_server_survives() {
         let panics = Arc::new(AtomicUsize::new(0));
         let panics2 = Arc::clone(&panics);
-        let policy = BatchPolicy::default().with_max_batch(1).with_max_wait(Duration::ZERO);
+        let policy = BatchPolicy::default().with_max_batch(1);
         let server = Server::with_worker(policy, move |source| {
             source.serve(move |_model, images: &[Tensor]| {
                 if images[0].data()[0] < 0.0 {
@@ -1432,7 +1374,7 @@ mod tests {
     #[test]
     fn mixed_shapes_split_into_shape_uniform_batches() {
         let gate = Gate::new();
-        let policy = BatchPolicy::default().with_max_batch(8).with_max_wait(Duration::ZERO);
+        let policy = BatchPolicy::default().with_max_batch(8);
         let shapes_seen = Arc::new(Mutex::new(Vec::new()));
         let shapes2 = Arc::clone(&shapes_seen);
         let gate2 = Arc::clone(&gate);
@@ -1466,7 +1408,7 @@ mod tests {
 
     #[test]
     fn wrong_output_count_fails_the_batch_instead_of_hanging() {
-        let policy = BatchPolicy::default().with_max_batch(4).with_max_wait(Duration::ZERO);
+        let policy = BatchPolicy::default().with_max_batch(4);
         let gate = Gate::new();
         let gate2 = Arc::clone(&gate);
         let server = Server::with_worker(policy, move |source| {
@@ -1489,10 +1431,8 @@ mod tests {
 
     #[test]
     fn poll_is_non_consuming_and_wait_still_returns() {
-        let policy = BatchPolicy::default().with_max_batch(1).with_max_wait(Duration::ZERO);
-        let server = Server::with_worker(policy, move |source| {
-            source.serve(|_model, images: &[Tensor]| Ok((images.to_vec(), PimStats::default())))
-        });
+        let policy = BatchPolicy::default().with_max_batch(1);
+        let server = echo_server(policy);
         let ticket = server.submit(M0, image(3.0)).unwrap();
         // spin until the poll sees the result, then wait() must not hang
         loop {
@@ -1506,56 +1446,41 @@ mod tests {
     }
 
     #[test]
-    fn shape_bounded_batch_skips_the_straggler_wait() {
-        // a long max_wait with a shape boundary already queued: the batch
-        // is bounded, so next_batch must not sleep the full wait
+    fn idle_engine_runs_at_once_and_busy_engine_coalesces() {
+        // the default policy with a backend that reports each batch size
+        // as it starts and holds its first batch until the gate opens
         let gate = Gate::new();
-        let policy = BatchPolicy::default()
-            .with_max_batch(16)
-            .with_max_wait(Duration::from_secs(5))
-            .with_queue_cap(8);
-        let server = gated_echo_server(policy, &gate);
-        let t1 = server.submit(M0, image(0.0)).unwrap();
-        let t2 = server.submit(M0, Tensor::from_vec(vec![2, 2], vec![1.0; 4]).unwrap()).unwrap();
-        let t0 = Instant::now();
+        let gate2 = Arc::clone(&gate);
+        let (started_tx, started) = std::sync::mpsc::channel();
+        let server = Server::with_worker(BatchPolicy::default(), move |source| {
+            source.serve(move |_model, images: &[Tensor]| {
+                let _ = started_tx.send(images.len());
+                gate2.wait_open();
+                Ok((images.to_vec(), PimStats::default()))
+            })
+        });
+        let lone = server.submit(M0, image(0.0)).unwrap();
+        // a lone request on an idle engine runs without waiting for company
+        assert_eq!(started.recv_timeout(BOUND), Ok(1));
+        // the engine is busy: these queue and form the next batches
+        let max_batch = BatchPolicy::default().max_batch;
+        let queued: Vec<Ticket> =
+            (1..=max_batch + 4).map(|i| server.submit(M0, image(i as f32)).unwrap()).collect();
         gate.open();
-        assert!(t1.wait().is_ok());
-        assert!(
-            t0.elapsed() < Duration::from_secs(4),
-            "bounded batches must not eat the full max_wait"
-        );
-        // t2 now heads a lone batch and would legitimately wait for
-        // stragglers; draining releases it immediately
-        server.begin_shutdown();
-        assert!(t2.wait().is_ok());
-    }
-
-    #[test]
-    fn full_queue_skips_the_straggler_wait() {
-        // queue_cap < max_batch with the queue pinned at capacity:
-        // nothing new can arrive, so the batcher must not sleep max_wait
-        let gate = Gate::new();
-        let policy = BatchPolicy::default()
-            .with_max_batch(16)
-            .with_max_wait(Duration::from_secs(5))
-            .with_queue_cap(2);
-        let server = gated_echo_server(policy, &gate);
-        let t1 = server.submit(M0, image(0.0)).unwrap();
-        let t2 = server.submit(M0, image(4.0)).unwrap();
-        let t0 = Instant::now();
-        gate.open();
-        assert!(t1.wait().is_ok());
-        assert!(t2.wait().is_ok());
-        assert!(
-            t0.elapsed() < Duration::from_secs(4),
-            "a capacity-bounded batch must not eat the full max_wait"
-        );
+        assert_eq!(served(&lone).batch_size, 1);
+        for (i, ticket) in queued.iter().enumerate() {
+            let response = served(ticket);
+            assert_eq!(response.output.data(), image((i + 1) as f32).data());
+            let want = if i < max_batch { max_batch } else { 4 };
+            assert_eq!(response.batch_size, want, "request {} rode the wrong batch", i + 1);
+        }
+        assert_eq!(server.shutdown().batches, 3);
     }
 
     #[test]
     fn mixed_models_split_into_per_model_batches() {
         let gate = Gate::new();
-        let policy = BatchPolicy::default().with_max_batch(8).with_max_wait(Duration::ZERO);
+        let policy = BatchPolicy::default().with_max_batch(8);
         let batches_seen = Arc::new(Mutex::new(Vec::new()));
         let batches2 = Arc::clone(&batches_seen);
         let gate2 = Arc::clone(&gate);
@@ -1589,10 +1514,8 @@ mod tests {
     #[test]
     fn unknown_model_is_refused_at_submit_time() {
         // a registry-checked server (model_count = 1) behind an echo body
-        let policy = BatchPolicy::default().with_max_wait(Duration::ZERO);
-        let server = Server::spawn(policy, Some(1), move |source| {
-            source.serve(|_model, images: &[Tensor]| Ok((images.to_vec(), PimStats::default())))
-        });
+        let policy = BatchPolicy::default();
+        let server = Server::spawn(policy, Some(1), |source| source.serve(echo));
         let bogus = ModelId::new(1);
         assert_eq!(server.submit(bogus, image(0.0)).unwrap_err(), ServeError::UnknownModel(bogus));
         assert_eq!(
@@ -1619,7 +1542,7 @@ mod tests {
         // deadline is long past: the sweep must resolve the ticket typed,
         // not run it late or drop it
         let gate = Gate::new();
-        let policy = BatchPolicy::default().with_max_wait(Duration::ZERO);
+        let policy = BatchPolicy::default();
         let server = gated_echo_server(policy, &gate);
         let doomed = server
             .submit_with_deadline(M0, image(0.0), Duration::from_millis(5))
@@ -1642,7 +1565,7 @@ mod tests {
     fn deadline_expires_mid_drain_behind_a_slow_batch() {
         // t1's batch stalls the batcher past t2's deadline; the re-sweep
         // on the next wakeup must expire t2 instead of serving it late
-        let policy = BatchPolicy::default().with_max_batch(1).with_max_wait(Duration::ZERO);
+        let policy = BatchPolicy::default().with_max_batch(1);
         let server = Server::with_worker(policy, move |source| {
             source.serve(|_model, images: &[Tensor]| {
                 std::thread::sleep(Duration::from_millis(40));
@@ -1662,7 +1585,7 @@ mod tests {
     #[test]
     fn blocked_submit_gives_up_at_its_deadline() {
         let gate = Gate::new();
-        let policy = BatchPolicy::default().with_queue_cap(1).with_max_wait(Duration::ZERO);
+        let policy = BatchPolicy::default().with_queue_cap(1);
         let server = gated_echo_server(policy, &gate);
         let t1 = server.submit(M0, image(0.0)).expect("slot 1");
         let t0 = Instant::now();
@@ -1678,7 +1601,7 @@ mod tests {
     #[test]
     fn wait_timeout_is_bounded_and_non_consuming() {
         let gate = Gate::new();
-        let policy = BatchPolicy::default().with_max_wait(Duration::ZERO);
+        let policy = BatchPolicy::default();
         let server = gated_echo_server(policy, &gate);
         let ticket = server.submit(M0, image(7.0)).unwrap();
         assert!(
@@ -1686,21 +1609,62 @@ mod tests {
             "no result can exist while the gate is shut"
         );
         gate.open();
-        let result = ticket
-            .wait_timeout(Duration::from_secs(30))
-            .expect("open gate: the echo resolves well inside the bound");
-        assert_eq!(result.expect("echo").output.data(), image(7.0).data());
+        assert_eq!(served(&ticket).output.data(), image(7.0).data());
         // the result stays claimable after bounded waits
         assert_eq!(ticket.wait().expect("still claimable").output.data(), image(7.0).data());
     }
 
     #[test]
+    fn submit_with_a_duration_max_deadline_never_expires() {
+        let server = echo_server(BatchPolicy::default());
+        let ticket = server.submit_with_deadline(M0, image(1.0), Duration::MAX).unwrap();
+        assert_eq!(served(&ticket).output.data(), image(1.0).data());
+        assert_eq!(server.shutdown().deadline_expired, 0);
+    }
+
+    #[test]
+    fn try_submit_with_a_duration_max_policy_deadline_never_expires() {
+        let server = echo_server(BatchPolicy::default().with_deadline(Duration::MAX));
+        let ticket = server.try_submit(M0, image(2.0)).unwrap();
+        assert_eq!(served(&ticket).output.data(), image(2.0).data());
+        assert_eq!(server.shutdown().deadline_expired, 0);
+    }
+
+    #[test]
+    fn wait_timeout_of_duration_max_waits_for_the_result() {
+        let gate = Gate::new();
+        let server = gated_echo_server(BatchPolicy::default(), &gate);
+        let ticket = server.submit(M0, image(3.0)).unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || tx.send(ticket.wait_timeout(Duration::MAX)));
+        // let the waiter park on the shut gate before the result exists
+        std::thread::sleep(Duration::from_millis(20));
+        gate.open();
+        let result = rx.recv_timeout(BOUND).expect("the waiter returns (no panic, no hang)");
+        let result = result.expect("an unbounded wait ends with the result, not a timeout");
+        assert_eq!(result.expect("echo").output.data(), image(3.0).data());
+    }
+
+    #[test]
+    fn duration_max_quarantine_backoff_trips_without_panicking() {
+        let quarantine = QuarantinePolicy::default().with_threshold(1);
+        let quarantine = quarantine.with_backoff(Duration::MAX, 2, Duration::MAX);
+        let policy = BatchPolicy::default().with_max_batch(1).with_quarantine(quarantine);
+        let (server, _calls) = flaky_echo_server(policy, usize::MAX);
+        let ticket = server.submit(M0, image(0.0)).unwrap();
+        let result = ticket.wait_timeout(BOUND).expect("the failed batch resolves");
+        assert!(matches!(result, Err(ServeError::Forward(_))), "got {result:?}");
+        // the trip landed before the ticket resolved, and it never ends
+        assert_eq!(server.submit(M0, image(1.0)).unwrap_err(), ServeError::ModelQuarantined(M0));
+        let report = server.shutdown();
+        assert_eq!(report.quarantine_trips, 1);
+        assert_eq!(report.failed, 1);
+    }
+
+    #[test]
     fn reject_newest_sheds_at_capacity() {
         let gate = Gate::new();
-        let policy = BatchPolicy::default()
-            .with_queue_cap(1)
-            .with_max_wait(Duration::ZERO)
-            .with_shed(ShedPolicy::RejectNewest);
+        let policy = BatchPolicy::default().with_queue_cap(1).with_shed(ShedPolicy::RejectNewest);
         let server = gated_echo_server(policy, &gate);
         let t1 = server.submit(M0, image(0.0)).expect("slot 1");
         assert_eq!(
@@ -1722,10 +1686,7 @@ mod tests {
     #[test]
     fn reject_oldest_evicts_the_head_for_fresh_work() {
         let gate = Gate::new();
-        let policy = BatchPolicy::default()
-            .with_queue_cap(1)
-            .with_max_wait(Duration::ZERO)
-            .with_shed(ShedPolicy::RejectOldest);
+        let policy = BatchPolicy::default().with_queue_cap(1).with_shed(ShedPolicy::RejectOldest);
         let server = gated_echo_server(policy, &gate);
         let stale = server.submit(M0, image(0.0)).expect("slot 1");
         let fresh = server.submit(M0, image(4.0)).expect("evicts the head, takes its slot");
@@ -1759,14 +1720,13 @@ mod tests {
 
     #[test]
     fn repeated_failures_trip_quarantine_then_probe_reinstates() {
-        let policy = BatchPolicy::default()
-            .with_max_batch(1)
-            .with_max_wait(Duration::ZERO)
-            .with_quarantine(QuarantinePolicy::default().with_threshold(2).with_backoff(
+        let policy = BatchPolicy::default().with_max_batch(1).with_quarantine(
+            QuarantinePolicy::default().with_threshold(2).with_backoff(
                 Duration::from_millis(40),
                 2,
                 Duration::from_secs(1),
-            ));
+            ),
+        );
         let (server, _calls) = flaky_echo_server(policy, 2);
         let f1 = server.submit(M0, image(0.0)).unwrap();
         let f2 = server.submit(M0, image(1.0)).unwrap();
@@ -1791,14 +1751,13 @@ mod tests {
 
     #[test]
     fn failed_probe_re_quarantines_with_advanced_backoff() {
-        let policy = BatchPolicy::default()
-            .with_max_batch(1)
-            .with_max_wait(Duration::ZERO)
-            .with_quarantine(QuarantinePolicy::default().with_threshold(1).with_backoff(
+        let policy = BatchPolicy::default().with_max_batch(1).with_quarantine(
+            QuarantinePolicy::default().with_threshold(1).with_backoff(
                 Duration::from_millis(30),
                 2,
                 Duration::from_secs(1),
-            ));
+            ),
+        );
         let (server, _calls) = flaky_echo_server(policy, usize::MAX); // never heals
         let f1 = server.submit(M0, image(0.0)).unwrap();
         assert!(f1.wait().is_err()); // trip #1
@@ -1819,14 +1778,13 @@ mod tests {
         // model resolve typed when the trip lands.
         let gate = Gate::new();
         let gate2 = Arc::clone(&gate);
-        let policy = BatchPolicy::default()
-            .with_max_batch(1)
-            .with_max_wait(Duration::ZERO)
-            .with_quarantine(QuarantinePolicy::default().with_threshold(1).with_backoff(
+        let policy = BatchPolicy::default().with_max_batch(1).with_quarantine(
+            QuarantinePolicy::default().with_threshold(1).with_backoff(
                 Duration::from_secs(30),
                 2,
                 Duration::from_secs(60),
-            ));
+            ),
+        );
         let server = Server::with_worker(policy, move |source| {
             gate2.wait_open();
             source.serve(|model, images: &[Tensor]| {
@@ -1862,10 +1820,8 @@ mod tests {
 
     #[test]
     fn quarantine_disabled_never_trips() {
-        let policy = BatchPolicy::default()
-            .with_max_batch(1)
-            .with_max_wait(Duration::ZERO)
-            .with_quarantine(QuarantinePolicy::disabled());
+        let policy =
+            BatchPolicy::default().with_max_batch(1).with_quarantine(QuarantinePolicy::disabled());
         let (server, _calls) = flaky_echo_server(policy, 3);
         for i in 0..3 {
             let t = server.submit(M0, image(i as f32)).unwrap();
@@ -1883,12 +1839,8 @@ mod tests {
         // error-only plan with a budget of 2: the first two batches fail
         // typed, everything after serves clean
         let plan = FaultPlan::new(11).with_weights([0, 1, 0, 0, 0]).with_fault_budget(2);
-        let policy = BatchPolicy::default().with_max_batch(1).with_max_wait(Duration::ZERO);
-        let server = Server::with_worker(policy, move |source| {
-            let echo =
-                |_model: ModelId, images: &[Tensor]| Ok((images.to_vec(), PimStats::default()));
-            source.serve(plan.shim(echo))
-        });
+        let policy = BatchPolicy::default().with_max_batch(1);
+        let server = Server::with_worker(policy, move |source| source.serve(plan.shim(echo)));
         let t1 = server.submit(M0, image(0.0)).unwrap();
         assert!(matches!(t1.wait().unwrap_err(), ServeError::Forward(_)));
         let t2 = server.submit(M0, image(1.0)).unwrap();

@@ -6,7 +6,6 @@
 //! the same bits.
 
 use proptest::prelude::*;
-use std::time::Duration;
 use trq_core::arch::{ArchConfig, ExecConfig};
 use trq_core::pim::{AdcScheme, PimMvm, PimStats};
 use trq_nn::QuantizedNetwork;
@@ -100,15 +99,12 @@ proptest! {
     fn server_is_bit_identical_to_serial_forward(
         wait_now in proptest::collection::vec(proptest::bool::ANY, IMAGES..IMAGES + 1),
         cap_sel in 0usize..3,
-        wait_us in 0u64..2,
     ) {
         let (qnet, images) = fixture();
         let arch = ArchConfig::default();
         let (want, want_stats) = serial_reference(&qnet, &arch, &images);
         let max_batch = [1usize, 4, 7][cap_sel];
-        let policy = BatchPolicy::default()
-            .with_max_batch(max_batch)
-            .with_max_wait(Duration::from_micros(wait_us * 500));
+        let policy = BatchPolicy::default().with_max_batch(max_batch);
         let (got, got_stats, seen) = serve_all(&qnet, &arch, &images, policy, &wait_now);
         prop_assert_eq!(&got, &want, "served outputs must match per-image forward bits");
         prop_assert_eq!(&got_stats, &want_stats, "summed ledgers must match the serial ledger");
@@ -148,8 +144,7 @@ proptest! {
         let id_b =
             registry.insert(Model::program("b", qnet_b.clone(), arch, plan(qnet_b.layers().len())));
         let policy = BatchPolicy::default()
-            .with_max_batch([1usize, 4, 7][cap_sel])
-            .with_max_wait(Duration::ZERO);
+            .with_max_batch([1usize, 4, 7][cap_sel]);
         let server = Server::start(registry, policy);
         let tickets: Vec<(bool, Ticket)> = images
             .iter()
@@ -188,7 +183,7 @@ fn threaded_pool_serving_matches_serial_forward() {
         .with_exec(ExecConfig::serial().with_threads(2).with_tile_outputs(2).with_tile_windows(2));
     let serial_arch = ArchConfig::default();
     let (want, want_stats) = serial_reference(&qnet, &serial_arch, &images);
-    let policy = BatchPolicy::default().with_max_batch(4).with_max_wait(Duration::ZERO);
+    let policy = BatchPolicy::default().with_max_batch(4);
     let wait_now = vec![false; IMAGES];
     let (got, got_stats, _) = serve_all(&qnet, &arch, &images, policy, &wait_now);
     assert_eq!(got, want, "threaded serving must not change bits");

@@ -142,7 +142,6 @@ proptest! {
         };
         let policy = BatchPolicy::default()
             .with_max_batch([1usize, 3, 7][cap_sel])
-            .with_max_wait(Duration::ZERO)
             .with_queue_cap(64)
             .with_quarantine(quarantine);
         let server = Server::with_worker(policy, move |source| {
@@ -231,8 +230,7 @@ proptest! {
             .with_weights([1, w_error, w_panic, w_wrong, w_delay])
             .with_delay(Duration::from_millis(1));
         let policy = BatchPolicy::default()
-            .with_max_batch([1usize, 3][cap_sel])
-            .with_max_wait(Duration::ZERO);
+            .with_max_batch([1usize, 3][cap_sel]);
         let model = ModelId::new(0);
         let server = Server::with_worker(policy, move |source| {
             source.serve(storm.shim(|_model: ModelId, images: &[Tensor]| {
@@ -286,10 +284,8 @@ proptest! {
 #[test]
 fn pool_is_serviceable_after_a_panic_storm() {
     let storm = FaultPlan::new(77).with_weights([0, 0, 1, 0, 0]); // all panics
-    let policy = BatchPolicy::default()
-        .with_max_batch(2)
-        .with_max_wait(Duration::ZERO)
-        .with_quarantine(QuarantinePolicy::disabled());
+    let policy =
+        BatchPolicy::default().with_max_batch(2).with_quarantine(QuarantinePolicy::disabled());
     let server =
         Server::with_worker(policy, move |source| {
             source.serve(storm.shim(|_model: ModelId, images: &[Tensor]| {
@@ -316,7 +312,7 @@ fn pool_is_serviceable_after_a_panic_storm() {
     let mut registry = Registry::new();
     let id =
         registry.insert(Model::program("after", qnet.clone(), arch, plan(qnet.layers().len())));
-    let server = Server::start(registry, BatchPolicy::default().with_max_wait(Duration::ZERO));
+    let server = Server::start(registry, BatchPolicy::default());
     for (i, image) in images.iter().enumerate() {
         let response =
             server.submit(id, image.clone()).expect("fresh server admits").wait().expect("serves");
@@ -345,14 +341,13 @@ fn quarantined_model_reinstates_after_backoff_probe_succeeds() {
     // the first two batches error, then the storm is spent
     let storm = FaultPlan::new(5).with_weights([0, 1, 0, 0, 0]).with_fault_budget(2);
     let backoff = Duration::from_millis(5);
-    let policy = BatchPolicy::default()
-        .with_max_batch(1)
-        .with_max_wait(Duration::ZERO)
-        .with_quarantine(QuarantinePolicy::default().with_threshold(1).with_backoff(
+    let policy = BatchPolicy::default().with_max_batch(1).with_quarantine(
+        QuarantinePolicy::default().with_threshold(1).with_backoff(
             backoff,
             2,
             Duration::from_millis(100),
-        ));
+        ),
+    );
     let server = Server::with_worker(policy, move |source| {
         source.serve(storm.shim(RegistryBackend::new(registry)))
     });
@@ -410,14 +405,13 @@ fn failed_probe_recovery_is_typed_and_retrips() {
 
     let storm = FaultPlan::new(11).with_weights([0, 1, 0, 0, 0]).with_fault_budget(1);
     let backoff = Duration::from_millis(5);
-    let policy = BatchPolicy::default()
-        .with_max_batch(1)
-        .with_max_wait(Duration::ZERO)
-        .with_quarantine(QuarantinePolicy::default().with_threshold(1).with_backoff(
+    let policy = BatchPolicy::default().with_max_batch(1).with_quarantine(
+        QuarantinePolicy::default().with_threshold(1).with_backoff(
             backoff,
             2,
             Duration::from_millis(100),
-        ));
+        ),
+    );
     let server = Server::with_worker(policy, move |source| {
         source.serve(storm.shim(RegistryBackend::new(registry)))
     });
@@ -450,7 +444,7 @@ fn deadlines_resolve_typed_under_a_delay_storm() {
     let storm = FaultPlan::new(3)
         .with_weights([0, 0, 0, 0, 1]) // every batch stalls
         .with_delay(Duration::from_millis(10));
-    let policy = BatchPolicy::default().with_max_batch(1).with_max_wait(Duration::ZERO);
+    let policy = BatchPolicy::default().with_max_batch(1);
     let model = ModelId::new(0);
     let server =
         Server::with_worker(policy, move |source| {
@@ -499,11 +493,7 @@ fn shed_policies_resolve_typed_under_backpressure() {
     for shed in [ShedPolicy::RejectNewest, ShedPolicy::RejectOldest] {
         let storm =
             FaultPlan::new(1).with_weights([0, 0, 0, 0, 1]).with_delay(Duration::from_millis(20));
-        let policy = BatchPolicy::default()
-            .with_max_batch(1)
-            .with_max_wait(Duration::ZERO)
-            .with_queue_cap(2)
-            .with_shed(shed);
+        let policy = BatchPolicy::default().with_max_batch(1).with_queue_cap(2).with_shed(shed);
         let model = ModelId::new(0);
         let server = Server::with_worker(policy, move |source| {
             source.serve(storm.shim(|_model: ModelId, images: &[Tensor]| {
