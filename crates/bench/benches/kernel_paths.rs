@@ -4,14 +4,15 @@
 //! plus AVX-512/AVX2/NEON lanes where detected), across the
 //! monomorphised column word counts (wpc 1/2/4 and the Harley–Seal
 //! generic path), plus the skip-enabled sparse cases at both plane and
-//! window-block granularity, and the conversion decode that follows the
-//! kernel (segment walk on every tier, register table on AVX-512).
+//! window-block granularity, the conversion decode that follows the
+//! kernel (segment walk on every tier, register table on AVX-512), and
+//! the input bit-plane packing that precedes it.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use trq_xbar::{
-    decode_diff_tile_into, mvm_diff_tile_into, BitMatrix, ColMask, DecodeTable, KernelTier,
-    WindowOcc, WINDOW_BLOCK,
+    decode_diff_tile_into, mvm_diff_tile_into, pack_window_planes, BitMatrix, ColMask, DecodeTable,
+    KernelTier, WindowOcc, WINDOW_BLOCK,
 };
 
 fn matrix(rows: usize, cols: usize, seed: u64, density_pct: u64) -> BitMatrix {
@@ -214,6 +215,38 @@ fn bench_kernel_paths(c: &mut Criterion) {
             })
         });
     }
+
+    // input bit-plane packing of one 128-row subarray over a stage-0
+    // sized batch (8 images × 32×32 windows), 8 planes, ReLU-skewed codes:
+    // half are zero and the rest fall off geometrically with magnitude
+    let (rows, n) = (128usize, 8192usize);
+    let mut state = 0x5EEDu64;
+    let codes: Vec<u8> = (0..rows * n)
+        .map(|_| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let r = state >> 32;
+            if r & 1 == 0 {
+                0
+            } else {
+                ((r >> 8) as u8) >> ((r >> 1) % 8)
+            }
+        })
+        .collect();
+    let (mut planes, mut occ) = (Vec::new(), WindowOcc::default());
+    group.bench_function("pack_r128_n8192", |b| {
+        b.iter(|| {
+            black_box(pack_window_planes(
+                black_box(&codes),
+                n,
+                0,
+                rows,
+                rows,
+                8,
+                &mut planes,
+                &mut occ,
+            ))
+        })
+    });
     group.finish();
 }
 

@@ -92,6 +92,8 @@ fn model_policy() -> BatchPolicy {
 /// "Exactly once" is enforced by the `trq_check`-only double-resolution
 /// assert in `TicketShared::complete`; "at least once" by the checker
 /// itself (an unresolved ticket leaves the waiter parked — a deadlock).
+/// The outcome is checked after the server drops, so a failure reports
+/// its schedule instead of unwinding through the batcher's join.
 #[test]
 fn serve_shutdown_vs_submit_resolves_every_ticket_once() {
     let report = explore(Config::default(), || {
@@ -101,29 +103,24 @@ fn serve_shutdown_vs_submit_resolves_every_ticket_once() {
             })
         }));
         let s2 = Arc::clone(&server);
-        let submitter =
-            trq_check::thread::spawn(move || match s2.submit(ModelId::new(0), image(1.0)) {
-                Ok(ticket) => Some(ticket.wait()),
-                Err(err) => {
-                    assert!(
-                        matches!(err, ServeError::ShuttingDown),
-                        "pre-queue refusal must be the shutdown gate, got {err:?}"
-                    );
-                    None
-                }
-            });
+        let submitter = trq_check::thread::spawn(move || {
+            s2.submit(ModelId::new(0), image(1.0)).map(Ticket::wait)
+        });
         server.begin_shutdown();
         let outcome = submitter.join().expect("submitter must not panic");
-        if let Some(result) = outcome {
-            match result {
-                Ok(response) => assert_eq!(response.batch_size, 1),
-                Err(err) => assert!(
-                    matches!(err, ServeError::WorkerLost | ServeError::ShuttingDown),
-                    "a queued ticket may only fail with a drain error, got {err:?}"
-                ),
-            }
-        }
         // Server::drop joins the batcher; no schedule may hang it
+        drop(server);
+        match outcome {
+            Err(refused) => assert!(
+                matches!(refused, ServeError::ShuttingDown),
+                "pre-queue refusal must be the shutdown gate, got {refused:?}"
+            ),
+            Ok(Ok(response)) => assert_eq!(response.batch_size, 1),
+            Ok(Err(err)) => assert!(
+                matches!(err, ServeError::WorkerLost | ServeError::ShuttingDown),
+                "a queued ticket may only fail with a drain error, got {err:?}"
+            ),
+        }
     });
     assert_exhaustive("serve shutdown-vs-submit", &report);
 }
@@ -150,19 +147,20 @@ fn serve_quarantine_trips_before_ticket_completion() {
             })
         });
         let m = ModelId::new(0);
-        let ticket = server.submit(m, image(1.0)).expect("queue is empty at first submit");
-        let first = ticket.wait();
-        assert!(
-            matches!(first, Err(ServeError::Forward(_))),
-            "the seeded failure must surface as Forward, got {first:?}"
-        );
+        let first = server.submit(m, image(1.0)).map(Ticket::wait);
         // the failure has been observed -> the trip must already be in place
         let resubmit = server.submit(m, image(1.0));
+        // checked after the server drops, so a failure reports its
+        // schedule instead of unwinding through the batcher's join
+        drop(server);
+        assert!(
+            matches!(first, Ok(Err(ServeError::Forward(_)))),
+            "the seeded failure must surface as Forward, got {first:?}"
+        );
         assert!(
             matches!(resubmit, Err(ServeError::ModelQuarantined(id)) if id == m),
             "resubmit after an observed failure must hit the quarantine gate, got {resubmit:?}"
         );
-        drop(server);
     });
     assert_exhaustive("serve quarantine probe ordering", &report);
 }

@@ -1229,9 +1229,15 @@ mod tests {
     /// the test instead of stalling the suite.
     const BOUND: Duration = Duration::from_secs(30);
 
+    /// Waits (bounded) for a ticket's outcome, panicking instead of
+    /// hanging the suite when a regression leaves it unresolved.
+    fn settle(ticket: &Ticket) -> Result<Response, ServeError> {
+        ticket.wait_timeout(BOUND).expect("ticket unresolved")
+    }
+
     /// Waits (bounded) for a ticket that must be served.
     fn served(ticket: &Ticket) -> Response {
-        ticket.wait_timeout(BOUND).expect("resolves within the bound").expect("served")
+        settle(ticket).expect("served")
     }
 
     fn image(tag: f32) -> Tensor {
@@ -1267,8 +1273,8 @@ mod tests {
         assert_eq!(server.try_submit(M0, image(8.0)).unwrap_err(), ServeError::QueueFull);
         assert_eq!(server.queue_len(), 2);
         gate.open();
-        assert_eq!(t1.wait().expect("echo").output.data(), image(0.0).data());
-        assert_eq!(t2.wait().expect("echo").output.data(), image(4.0).data());
+        assert_eq!(settle(&t1).expect("echo").output.data(), image(0.0).data());
+        assert_eq!(settle(&t2).expect("echo").output.data(), image(4.0).data());
     }
 
     #[test]
@@ -1283,7 +1289,7 @@ mod tests {
         // blocked submitter
         gate.open();
         let t2 = blocked.join().expect("no panic").expect("unblocked submit succeeds");
-        assert_eq!(t2.wait().expect("echo").output.data(), image(4.0).data());
+        assert_eq!(settle(&t2).expect("echo").output.data(), image(4.0).data());
     }
 
     #[test]
@@ -1299,7 +1305,7 @@ mod tests {
         gate.open();
         let report = server.shutdown();
         for (i, ticket) in tickets.into_iter().enumerate() {
-            let response = ticket.wait().expect("drained before exit");
+            let response = settle(&ticket).expect("drained before exit");
             assert_eq!(response.output.data(), image(i as f32).data());
             assert!(response.batch_size <= 2);
         }
@@ -1324,9 +1330,9 @@ mod tests {
         let good1 = server.submit(M0, image(1.0)).unwrap();
         let bad = server.submit(M0, image(-9.0)).unwrap();
         let good2 = server.submit(M0, image(2.0)).unwrap();
-        assert!(good1.wait().is_ok());
-        assert!(matches!(bad.wait().unwrap_err(), ServeError::Forward(_)));
-        assert!(good2.wait().is_ok(), "the server must keep serving after a failed batch");
+        assert!(settle(&good1).is_ok());
+        assert!(matches!(settle(&bad).unwrap_err(), ServeError::Forward(_)));
+        assert!(settle(&good2).is_ok(), "the server must keep serving after a failed batch");
         let report = server.shutdown();
         assert_eq!(report.requests, 2);
         assert_eq!(report.failed, 1);
@@ -1348,8 +1354,8 @@ mod tests {
         });
         let bad = server.submit(M0, image(-1.0)).unwrap();
         let good = server.submit(M0, image(5.0)).unwrap();
-        assert_eq!(bad.wait().unwrap_err(), ServeError::BatchPanicked);
-        assert!(good.wait().is_ok(), "a panicked batch must not take the batcher down");
+        assert_eq!(settle(&bad).unwrap_err(), ServeError::BatchPanicked);
+        assert!(settle(&good).is_ok(), "a panicked batch must not take the batcher down");
         assert_eq!(panics.load(Ordering::SeqCst), 1);
         let report = server.shutdown();
         assert_eq!(report.requests, 1);
@@ -1365,7 +1371,7 @@ mod tests {
         // the ticket resolves to WorkerLost — nothing hangs
         match server.submit(M0, image(0.0)) {
             Ok(ticket) => {
-                assert_eq!(ticket.wait().unwrap_err(), ServeError::WorkerLost);
+                assert_eq!(settle(&ticket).unwrap_err(), ServeError::WorkerLost);
             }
             Err(e) => assert_eq!(e, ServeError::ShuttingDown),
         }
@@ -1397,7 +1403,7 @@ mod tests {
         let t4 = server.submit(M0, image(8.0)).unwrap();
         gate.open();
         for t in [t1, t2, t3, t4] {
-            assert!(t.wait().is_ok());
+            assert!(settle(&t).is_ok());
         }
         let report = server.shutdown();
         assert_eq!(report.requests, 4);
@@ -1421,9 +1427,9 @@ mod tests {
         let t2 = server.submit(M0, image(4.0)).unwrap();
         gate.open();
         // both tickets must resolve (not hang), with the typed error
-        let err = t1.wait().unwrap_err();
+        let err = settle(&t1).unwrap_err();
         assert_eq!(err, ServeError::BadBatchOutput { expected: 2, got: 1 });
-        assert_eq!(t2.wait().unwrap_err(), err);
+        assert_eq!(settle(&t2).unwrap_err(), err);
         let report = server.shutdown();
         assert_eq!(report.failed, 2);
         assert_eq!(report.requests, 0);
@@ -1498,7 +1504,7 @@ mod tests {
         let t4 = server.submit(M0, image(12.0)).unwrap();
         gate.open();
         for (t, want) in [(t1, M0), (t2, M0), (t3, m1), (t4, M0)] {
-            assert_eq!(t.wait().expect("echo").model, want);
+            assert_eq!(settle(&t).expect("echo").model, want);
         }
         let report = server.shutdown();
         // arrival order is preserved and batches never mix models:
@@ -1523,7 +1529,7 @@ mod tests {
             ServeError::UnknownModel(bogus)
         );
         let ok = server.submit(M0, image(1.0)).unwrap();
-        assert_eq!(ok.wait().expect("echo").output.data(), image(1.0).data());
+        assert_eq!(settle(&ok).expect("echo").output.data(), image(1.0).data());
         let report = server.shutdown();
         assert_eq!(report.requests, 1);
         assert_eq!(report.failed, 0);
@@ -1550,9 +1556,9 @@ mod tests {
         let healthy = server.submit(M0, image(4.0)).expect("no deadline");
         std::thread::sleep(Duration::from_millis(20));
         gate.open();
-        assert_eq!(doomed.wait().unwrap_err(), ServeError::DeadlineExceeded);
+        assert_eq!(settle(&doomed).unwrap_err(), ServeError::DeadlineExceeded);
         assert_eq!(
-            healthy.wait().expect("undeadlined requests still serve").output.data(),
+            settle(&healthy).expect("undeadlined requests still serve").output.data(),
             image(4.0).data()
         );
         let report = server.shutdown();
@@ -1576,8 +1582,8 @@ mod tests {
         let doomed = server
             .submit_with_deadline(M0, image(4.0), Duration::from_millis(10))
             .expect("queued behind the slow batch");
-        assert!(slow.wait().is_ok());
-        assert_eq!(doomed.wait().unwrap_err(), ServeError::DeadlineExceeded);
+        assert!(settle(&slow).is_ok());
+        assert_eq!(settle(&doomed).unwrap_err(), ServeError::DeadlineExceeded);
         let report = server.shutdown();
         assert_eq!(report.deadline_expired, 1);
     }
@@ -1595,7 +1601,7 @@ mod tests {
         assert_eq!(err, ServeError::DeadlineExceeded);
         assert!(t0.elapsed() >= Duration::from_millis(20), "must wait out the deadline first");
         gate.open();
-        assert!(t1.wait().is_ok());
+        assert!(settle(&t1).is_ok());
     }
 
     #[test]
@@ -1652,7 +1658,7 @@ mod tests {
         let policy = BatchPolicy::default().with_max_batch(1).with_quarantine(quarantine);
         let (server, _calls) = flaky_echo_server(policy, usize::MAX);
         let ticket = server.submit(M0, image(0.0)).unwrap();
-        let result = ticket.wait_timeout(BOUND).expect("the failed batch resolves");
+        let result = settle(&ticket);
         assert!(matches!(result, Err(ServeError::Forward(_))), "got {result:?}");
         // the trip landed before the ticket resolved, and it never ends
         assert_eq!(server.submit(M0, image(1.0)).unwrap_err(), ServeError::ModelQuarantined(M0));
@@ -1677,7 +1683,7 @@ mod tests {
             ServeError::Shed(ShedPolicy::RejectNewest)
         );
         gate.open();
-        assert!(t1.wait().is_ok(), "admitted work is unaffected by shedding");
+        assert!(settle(&t1).is_ok(), "admitted work is unaffected by shedding");
         let report = server.shutdown();
         assert_eq!(report.shed, 2);
         assert_eq!(report.requests, 1);
@@ -1691,12 +1697,12 @@ mod tests {
         let stale = server.submit(M0, image(0.0)).expect("slot 1");
         let fresh = server.submit(M0, image(4.0)).expect("evicts the head, takes its slot");
         assert_eq!(
-            stale.wait().unwrap_err(),
+            settle(&stale).unwrap_err(),
             ServeError::Shed(ShedPolicy::RejectOldest),
             "the evicted ticket resolves typed"
         );
         gate.open();
-        assert_eq!(fresh.wait().expect("freshest-wins").output.data(), image(4.0).data());
+        assert_eq!(settle(&fresh).expect("freshest-wins").output.data(), image(4.0).data());
         let report = server.shutdown();
         assert_eq!(report.shed, 1);
         assert_eq!(report.requests, 1);
@@ -1730,18 +1736,18 @@ mod tests {
         let (server, _calls) = flaky_echo_server(policy, 2);
         let f1 = server.submit(M0, image(0.0)).unwrap();
         let f2 = server.submit(M0, image(1.0)).unwrap();
-        assert!(matches!(f1.wait().unwrap_err(), ServeError::Forward(_)));
-        assert!(matches!(f2.wait().unwrap_err(), ServeError::Forward(_)));
+        assert!(matches!(settle(&f1).unwrap_err(), ServeError::Forward(_)));
+        assert!(matches!(settle(&f2).unwrap_err(), ServeError::Forward(_)));
         // failure 2 hit the threshold: the trip happened before f2's
         // ticket resolved, so this refusal is deterministic
         assert_eq!(server.submit(M0, image(2.0)).unwrap_err(), ServeError::ModelQuarantined(M0));
         std::thread::sleep(Duration::from_millis(60));
         // backoff elapsed: this request runs as the probe and succeeds
         let probe = server.submit(M0, image(3.0)).expect("probe admitted after backoff");
-        assert_eq!(probe.wait().expect("probe succeeds").output.data(), image(3.0).data());
+        assert_eq!(settle(&probe).expect("probe succeeds").output.data(), image(3.0).data());
         // reinstated: traffic flows without waiting
         let after = server.submit(M0, image(4.0)).unwrap();
-        assert!(after.wait().is_ok());
+        assert!(settle(&after).is_ok());
         let report = server.shutdown();
         assert_eq!(report.quarantine_trips, 1);
         assert_eq!(report.quarantine_reinstates, 1);
@@ -1760,10 +1766,10 @@ mod tests {
         );
         let (server, _calls) = flaky_echo_server(policy, usize::MAX); // never heals
         let f1 = server.submit(M0, image(0.0)).unwrap();
-        assert!(f1.wait().is_err()); // trip #1
+        assert!(settle(&f1).is_err()); // trip #1
         std::thread::sleep(Duration::from_millis(45));
         let probe = server.submit(M0, image(1.0)).expect("probe admitted");
-        assert!(probe.wait().is_err(), "the model is still sick");
+        assert!(settle(&probe).is_err(), "the model is still sick");
         // the failed probe re-tripped immediately (no threshold wait)
         assert_eq!(server.submit(M0, image(2.0)).unwrap_err(), ServeError::ModelQuarantined(M0));
         let report = server.shutdown();
@@ -1799,11 +1805,11 @@ mod tests {
         let sick2 = server.submit(M0, image(1.0)).unwrap();
         let healthy = server.submit(m1, image(2.0)).unwrap();
         gate.open();
-        assert!(matches!(sick1.wait().unwrap_err(), ServeError::Forward(_)));
+        assert!(matches!(settle(&sick1).unwrap_err(), ServeError::Forward(_)));
         // sick2 was queued when the trip landed: swept, not served
-        assert_eq!(sick2.wait().unwrap_err(), ServeError::ModelQuarantined(M0));
+        assert_eq!(settle(&sick2).unwrap_err(), ServeError::ModelQuarantined(M0));
         assert_eq!(
-            healthy.wait().expect("other models keep serving").output.data(),
+            settle(&healthy).expect("other models keep serving").output.data(),
             image(2.0).data()
         );
         assert_eq!(
@@ -1825,11 +1831,11 @@ mod tests {
         let (server, _calls) = flaky_echo_server(policy, 3);
         for i in 0..3 {
             let t = server.submit(M0, image(i as f32)).unwrap();
-            assert!(t.wait().is_err());
+            assert!(settle(&t).is_err());
         }
         // three straight failures, still no quarantine
         let t = server.submit(M0, image(9.0)).expect("no quarantine when disabled");
-        assert!(t.wait().is_ok());
+        assert!(settle(&t).is_ok());
         let report = server.shutdown();
         assert_eq!(report.quarantine_trips, 0);
     }
@@ -1842,11 +1848,11 @@ mod tests {
         let policy = BatchPolicy::default().with_max_batch(1);
         let server = Server::with_worker(policy, move |source| source.serve(plan.shim(echo)));
         let t1 = server.submit(M0, image(0.0)).unwrap();
-        assert!(matches!(t1.wait().unwrap_err(), ServeError::Forward(_)));
+        assert!(matches!(settle(&t1).unwrap_err(), ServeError::Forward(_)));
         let t2 = server.submit(M0, image(1.0)).unwrap();
-        assert!(matches!(t2.wait().unwrap_err(), ServeError::Forward(_)));
+        assert!(matches!(settle(&t2).unwrap_err(), ServeError::Forward(_)));
         let t3 = server.submit(M0, image(2.0)).unwrap();
-        assert!(t3.wait().is_ok(), "the fault budget is spent; the storm is over");
+        assert!(settle(&t3).is_ok(), "the fault budget is spent; the storm is over");
         let report = server.shutdown();
         assert_eq!(report.failed, 2);
         assert_eq!(report.requests, 1);

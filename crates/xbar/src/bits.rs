@@ -183,21 +183,22 @@ impl BitMatrix {
     /// word allocation — the scratch-buffer primitive of the tiled
     /// execution pipeline (no per-cycle allocation in hot loops).
     ///
-    /// Steady state (same shape call after call, as in the engine's
-    /// per-batch plane packing) is a straight `memset` of the live words;
-    /// shape changes rewind the length and only grow capacity when the
-    /// new word footprint exceeds anything seen before.
+    /// Steady state (same shape call after call) is a straight `memset`
+    /// of the live words; shape changes rewind the length and only grow
+    /// capacity when the new word footprint exceeds anything seen before.
     pub fn reset(&mut self, rows: usize, cols: usize) {
+        self.reshape(rows, cols);
+        self.words.fill(0);
+    }
+
+    /// Sets the `rows × cols` shape without clearing: words kept from the
+    /// old backing hold stale bits and only growth is zeroed. For writers
+    /// that overwrite every word ([`pack_window_planes`]).
+    pub(crate) fn reshape(&mut self, rows: usize, cols: usize) {
         self.rows = rows;
         self.cols = cols;
         self.words_per_col = rows.div_ceil(64).max(1);
-        let words = self.words_per_col * cols;
-        if self.words.len() == words {
-            self.words.fill(0);
-        } else {
-            self.words.clear();
-            self.words.resize(words, 0);
-        }
+        self.words.resize(self.words_per_col * cols, 0);
     }
 
     /// Words of backing capacity currently held (allocation accounting
@@ -277,9 +278,19 @@ impl BitMatrix {
 /// `cols` is the engine's `[depth × n]` row-major activation-code matrix;
 /// rows `d0..d1` (one crossbar subarray, at most `rows` of them) are packed
 /// into `bits` matrices of shape `rows × n` such that
-/// `planes[b].get(d - d0, w)` is bit `b` of `cols[d * n + w]`. Matrices
-/// already in `planes` are reused (reset in place), so steady-state packing
-/// performs no allocation.
+/// `planes[b].get(d - d0, w)` is bit `b` of `cols[d * n + w]`; rows from
+/// `d1 - d0` up to `rows` read zero. Matrices already in `planes` are
+/// reused (reshaped in place, every word overwritten), so steady-state
+/// packing performs no allocation.
+///
+/// The packing is a bit-matrix transpose, a word at a time and with no
+/// branch on the code values:
+/// for each run of 8 windows and each 64-row word group, every 8-row slab
+/// is loaded as 8 `u64`s (one row's 8 window codes each), byte-transposed
+/// so each `u64` holds one window's 8 row codes, and bit-transposed so
+/// its byte `b` holds those rows' bit `b`; a second byte transpose over
+/// the group's 8 slabs assembles each plane's 64-row word, which is
+/// stored once. Windows past the last multiple of 8 load zero-padded.
 ///
 /// Fills `occ` with the batch's **window occupancy** and returns its
 /// live-plane mask: bit `b` is set iff plane `b` holds at least one set
@@ -289,13 +300,15 @@ impl BitMatrix {
 /// high-order bit-planes of a window batch are ubiquitously all-zero and
 /// zero activations cluster in spatially correlated runs, and the fused
 /// kernel ([`crate::kernel::mvm_diff_tile_into`]) skips dead planes and
-/// dead window blocks outright. The occupancy is recorded in the same
-/// single pass that packs the planes, so skipping costs no extra sweep.
+/// dead window blocks outright. Each window's code-OR is the OR of the
+/// row words the transpose loads anyway, so occupancy costs no extra
+/// sweep.
 ///
 /// # Panics
 ///
-/// Panics when the row window exceeds `rows`, `cols` is too short, or
-/// `bits` exceeds the 8-bit activation-code width.
+/// Panics when the row window exceeds `rows`, `cols` is too short,
+/// `bits` exceeds the 8-bit activation-code width, or a packed code has
+/// a set bit at or above `bits` (it would have no plane to land in).
 // the argument list is the packing geometry itself; bundling it into a
 // struct would just move the same eight names one level down
 #[allow(clippy::too_many_arguments)]
@@ -312,31 +325,108 @@ pub fn pack_window_planes(
     assert!(d0 <= d1 && d1 - d0 <= rows, "subarray row window exceeds array rows");
     assert!(cols.len() >= d1 * n, "activation matrix too short for row window");
     assert!(bits <= 8, "activation codes are at most 8 bits");
-    planes.truncate(bits as usize);
+    let n_planes = bits as usize;
+    planes.truncate(n_planes);
     for plane in planes.iter_mut() {
-        plane.reset(rows, n);
+        plane.reshape(rows, n);
     }
-    while planes.len() < bits as usize {
+    while planes.len() < n_planes {
         planes.push(BitMatrix::zeros(rows, n));
     }
-    occ.reset(bits as usize, n);
+    occ.reset(n_planes, n);
     let wpc = rows.div_ceil(64).max(1);
-    for d in d0..d1 {
-        let r = d - d0;
-        let word_in_col = r / 64;
-        let mask = 1u64 << (r % 64);
-        let crow = &cols[d * n..(d + 1) * n];
-        for (w, &code) in crow.iter().enumerate() {
-            occ.note(w, code);
-            let mut remaining = code;
-            while remaining != 0 {
-                let b = remaining.trailing_zeros() as usize;
-                planes[b].words[w * wpc + word_in_col] |= mask;
-                remaining &= remaining - 1;
+    let depth = d1 - d0;
+    let codes = &cols[d0 * n..d1 * n];
+    let mut code_or = 0u64;
+    for w0 in (0..n).step_by(8) {
+        let lanes = (n - w0).min(8);
+        // byte `i` = OR of window `w0 + i`'s codes over every row
+        let mut window_or = 0u64;
+        for g in 0..wpc {
+            // words[i][b]: plane `b`'s 64-row word of window `w0 + i`; a
+            // group past the row window stays zero
+            let mut words = [[0u64; 8]; 8];
+            let slabs = depth.saturating_sub(g * 64).div_ceil(8).min(8);
+            for slab in 0..slabs {
+                let r0 = g * 64 + slab * 8;
+                let mut x = [0u64; 8];
+                for (i, xi) in x.iter_mut().enumerate().take(depth - r0) {
+                    let at = (r0 + i) * n + w0;
+                    *xi = load_lanes(&codes[at..at + lanes]);
+                    window_or |= *xi;
+                }
+                transpose_bytes(&mut x);
+                for (wi, &xi) in words.iter_mut().zip(x.iter()) {
+                    wi[slab] = transpose8(xi);
+                }
+            }
+            for (i, wi) in words.iter_mut().enumerate().take(lanes) {
+                if slabs > 0 {
+                    transpose_bytes(wi);
+                }
+                let at = (w0 + i) * wpc + g;
+                for (plane, &word) in planes.iter_mut().zip(wi.iter()) {
+                    plane.words[at] = word;
+                }
             }
         }
+        for i in 0..lanes {
+            occ.note(w0 + i, (window_or >> (8 * i)) as u8);
+        }
+        code_or |= window_or;
     }
+    let code_or = code_or.to_le_bytes().iter().fold(0u32, |acc, &c| acc | u32::from(c));
+    assert!(code_or >> bits == 0, "activation code has bits at or above the {bits}-plane width");
     occ.finish()
+}
+
+/// Loads up to 8 codes as the low bytes of a `u64`, zero-padding the rest.
+#[inline]
+fn load_lanes(codes: &[u8]) -> u64 {
+    match <[u8; 8]>::try_from(codes) {
+        Ok(full) => u64::from_le_bytes(full),
+        Err(_) => codes.iter().rev().fold(0, |acc, &c| acc << 8 | u64::from(c)),
+    }
+}
+
+/// Transposes the 8×8 byte matrix whose row `i` is `x[i]` (byte `j` of a
+/// word is column `j`): afterwards byte `j` of `x[i]` is the old byte `i`
+/// of `x[j]`. Three block-swap stages of 4-, 2- and 1-byte blocks.
+// no_alloc: per 8-row slab and per window word group of every pack
+#[inline]
+fn transpose_bytes(x: &mut [u64; 8]) {
+    const LO32: u64 = 0x0000_0000_FFFF_FFFF;
+    for i in 0..4 {
+        let (a, b) = (x[i], x[i + 4]);
+        x[i] = (a & LO32) | (b << 32);
+        x[i + 4] = (a >> 32) | (b & !LO32);
+    }
+    const LO16: u64 = 0x0000_FFFF_0000_FFFF;
+    for i in [0, 1, 4, 5] {
+        let (a, b) = (x[i], x[i + 2]);
+        x[i] = (a & LO16) | ((b & LO16) << 16);
+        x[i + 2] = ((a >> 16) & LO16) | (b & !LO16);
+    }
+    const LO8: u64 = 0x00FF_00FF_00FF_00FF;
+    for i in [0, 2, 4, 6] {
+        let (a, b) = (x[i], x[i + 1]);
+        x[i] = (a & LO8) | ((b & LO8) << 8);
+        x[i + 1] = ((a >> 8) & LO8) | (b & !LO8);
+    }
+}
+
+/// Transposes the 8×8 bit matrix held in `x` (bit `j` of byte `i` is
+/// row `i`, column `j`) with three delta swaps: afterwards bit `i` of
+/// byte `j` is the old bit `j` of byte `i`.
+// no_alloc: per window of every 8-row slab of a pack
+#[inline]
+fn transpose8(mut x: u64) -> u64 {
+    let t = (x ^ (x >> 7)) & 0x00AA_00AA_00AA_00AA;
+    x ^= t ^ (t << 7);
+    let t = (x ^ (x >> 14)) & 0x0000_CCCC_0000_CCCC;
+    x ^= t ^ (t << 14);
+    let t = (x ^ (x >> 28)) & 0x0000_0000_F0F0_F0F0;
+    x ^ t ^ (t << 28)
 }
 
 #[cfg(test)]
@@ -369,6 +459,17 @@ mod tests {
     fn bitvec_bounds_checked() {
         let v = BitVec::zeros(10);
         let _ = v.get(10);
+    }
+
+    #[test]
+    #[should_panic(expected = "at or above the 3-plane width")]
+    fn pack_rejects_codes_wider_than_bits() {
+        // the wide code sits in a tail window of the second 64-row group
+        let (n, depth) = (11usize, 70usize);
+        let mut cols = vec![0b101u8; depth * n];
+        cols[66 * n + 9] = 0b1000;
+        let mut occ = crate::kernel::WindowOcc::default();
+        pack_window_planes(&cols, n, 0, depth, 128, 3, &mut Vec::new(), &mut occ);
     }
 
     #[test]
@@ -451,40 +552,66 @@ mod tests {
         }
 
         #[test]
-        fn packed_planes_match_code_bits(depth in 1usize..200, n in 1usize..6, seed in 0u64..60) {
+        fn packed_planes_match_code_bits(
+            n in 1usize..=70,
+            shape in 0usize..5,
+            d0 in 0usize..40,
+            span_seed in 0usize..1000,
+            bits in 1u32..=8,
+            seed in 0u64..60,
+        ) {
             let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(7);
             let mut next = || {
                 state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                (state >> 40) as u8
+                (state >> 32) as u32
             };
-            let cols: Vec<u8> = (0..depth * n).map(|_| next()).collect();
-            let rows = 128usize;
+            // 64-row multiples, ragged windows (d1 − d0 not a multiple of 8
+            // or 64), full 8-window runs, tails and batches under 8 windows
+            let rows = [40usize, 64, 128, 256, 300][shape];
+            let d1 = d0 + span_seed % (rows + 1);
+            // rows past d1 exist in the matrix and must stay unpacked;
+            // codes fit `bits` and about half are ReLU zeros
+            let depth = d1 + 2;
+            let code_mask = ((1u32 << bits) - 1) as u8;
+            let cols: Vec<u8> = (0..depth * n)
+                .map(|_| {
+                    let r = next();
+                    if r & 1 == 0 { 0 } else { (r >> 8) as u8 & code_mask }
+                })
+                .collect();
+            // dirty scratch: a larger all-ones batch packed into the same
+            // planes and occupancy first, so every stale word must be
+            // overwritten
             let mut planes = Vec::new();
             let mut occ = crate::kernel::WindowOcc::default();
-            let d1 = depth.min(rows);
-            let live = pack_window_planes(&cols, n, 0, d1, rows, 8, &mut planes, &mut occ);
-            prop_assert_eq!(planes.len(), 8);
-            let want_live: u32 =
-                cols[..d1 * n].iter().fold(0u32, |acc, &code| acc | code as u32);
+            let dirty = vec![0xFFu8; 300 * (n + 9)];
+            pack_window_planes(&dirty, n + 9, 0, 300, 300, 8, &mut planes, &mut occ);
+            let live = pack_window_planes(&cols, n, d0, d1, rows, bits, &mut planes, &mut occ);
+
+            // the naive per-bit reference
+            let mut want_planes = vec![BitMatrix::zeros(rows, n); bits as usize];
+            let mut want_occ = crate::kernel::WindowOcc::default();
+            want_occ.reset(bits as usize, n);
+            for d in d0..d1 {
+                for w in 0..n {
+                    let code = cols[d * n + w];
+                    want_occ.note(w, code);
+                    for (b, plane) in want_planes.iter_mut().enumerate() {
+                        if code >> b & 1 == 1 {
+                            plane.set(d - d0, w, true);
+                        }
+                    }
+                }
+            }
+            let want_live = want_occ.finish();
             prop_assert_eq!(live, want_live, "live-plane mask must OR the packed codes");
-            prop_assert_eq!(occ.live_planes(), want_live);
-            // the packed occupancy must equal what a scan of the packed
-            // planes would record, at both granularities
-            let want_occ = crate::kernel::WindowOcc::of_planes(&planes);
-            prop_assert_eq!(&occ, &want_occ, "packed occupancy must match plane contents");
-            for (b, plane) in planes.iter().enumerate() {
-                prop_assert_eq!((plane.rows(), plane.cols()), (rows, n));
-                for d in 0..d1 {
-                    for w in 0..n {
-                        prop_assert_eq!(plane.get(d, w), (cols[d * n + w] >> b) & 1 == 1);
-                    }
-                }
-                // rows beyond the packed window stay zero
-                for d in d1..rows {
-                    for w in 0..n {
-                        prop_assert!(!plane.get(d, w));
-                    }
-                }
+            prop_assert_eq!(&occ, &want_occ, "occupancy must match the packed codes");
+            prop_assert_eq!(&occ, &crate::kernel::WindowOcc::of_planes(&planes));
+            prop_assert_eq!(planes.len(), bits as usize);
+            for (b, (got, want)) in planes.iter().zip(&want_planes).enumerate() {
+                // whole-matrix equality: rows past d1 and every stale word
+                // of the dirty batch must read zero
+                prop_assert!(got == want, "plane {} differs from the per-bit reference", b);
             }
         }
 
