@@ -60,7 +60,6 @@ use crate::arch::ArchConfig;
 use crate::exec::Pool;
 use crate::pim::scheme::{AdcScheme, Lut};
 use crate::pim::stats::PimStats;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -120,10 +119,10 @@ struct DiffSubarray {
     neg_live: ColMask,
 }
 
-/// Serializable image of one programmed differential subarray pair: the
-/// sliced bit planes plus the static column-occupancy masks. Part of
+/// Image of one programmed differential subarray pair: the sliced bit
+/// planes plus the static column-occupancy masks. Part of
 /// [`ProgrammedLayerState`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SubarrayState {
     /// Positive-side weight slice planes.
     pub pos: BitMatrix,
@@ -135,14 +134,13 @@ pub struct SubarrayState {
     pub neg_live: ColMask,
 }
 
-/// Serializable image of one layer's program-stage output — everything
-/// the engine derives from the layer's quantized weights: differential
-/// subarray pairs, skip masks, and the packed conversion LUT.
-/// [`PimMvm::export_programming`] produces these and
-/// [`PimMvm::import_programming`] installs them, so a restored engine
-/// skips the program stage entirely and is bit-identical to a freshly
-/// programmed one (values and event ledgers alike).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Image of one layer's program-stage output — everything the engine
+/// derives from the layer's quantized weights, architecture and ADC
+/// scheme: differential subarray pairs, skip masks, and the packed
+/// conversion LUT. [`PimMvm::export_programming`] produces these for
+/// tools that inspect or replay the programmed arrays; nothing installs
+/// them back, since re-running the program stage rebuilds them exactly.
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProgrammedLayerState {
     /// MVM layer index the state belongs to.
     pub mvm_index: usize,
@@ -154,26 +152,6 @@ pub struct ProgrammedLayerState {
     /// Physical value of one LUT LSB in count units.
     pub lut_delta: f64,
 }
-
-/// Rejection returned by [`PimMvm::import_programming`] when a layer
-/// state does not fit the engine's architecture (wrong array height, LUT
-/// length, or mask width) — installing it anyway would panic deep inside
-/// the kernels instead of failing at the API boundary.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ProgramImportError {
-    /// The offending layer.
-    pub mvm_index: usize,
-    /// What did not line up.
-    pub reason: String,
-}
-
-impl std::fmt::Display for ProgramImportError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "layer {}: {}", self.mvm_index, self.reason)
-    }
-}
-
-impl std::error::Error for ProgramImportError {}
 
 /// One (output-block × window-block) unit of work. Subarrays and input
 /// bit-planes are looped inside the tile, so a tile owns the disjoint
@@ -537,8 +515,8 @@ impl PimMvm {
     /// engine is byte-for-byte the no-noise engine, keeping the noisy
     /// plumbing zero-cost for every existing caller. Call **before**
     /// programming any layer (stuck-at faults apply when weights are
-    /// sliced); programming imported via [`PimMvm::import_programming`]
-    /// is installed verbatim, faults and all, as captured.
+    /// sliced). Snapshots hold ideal devices only: `trq-store` refuses
+    /// to capture an engine with device noise.
     #[must_use]
     pub fn with_device_noise(mut self, noise: NoiseModel) -> Self {
         self.noise = if noise.is_ideal() { None } else { Some(noise) };
@@ -623,17 +601,40 @@ impl PimMvm {
     ///
     /// # Panics
     ///
-    /// Panics when `weights_q` does not match the layer geometry.
+    /// Panics when `weights_q` does not match the layer geometry, or when
+    /// the layer's scheme fails [`AdcScheme::validate`] on this engine's
+    /// architecture.
     pub fn program_layer(&mut self, info: &MvmLayerInfo, weights_q: &[i32]) {
         assert_eq!(weights_q.len(), info.depth * info.outputs, "weight shape mismatch");
         self.program(info, weights_q);
     }
 
+    /// Heap bytes the program stage allocates for a `depth × outputs`
+    /// layer on `arch` — bit planes, skip masks and the conversion LUT —
+    /// or `None` when `arch` has no rows or the sum overflows a `u64`.
+    /// Callers programming untrusted geometry bound this before
+    /// [`PimMvm::program_layer`] allocates anything.
+    pub fn programmed_bytes(arch: &ArchConfig, depth: usize, outputs: usize) -> Option<u64> {
+        let rows = arch.xbar.rows as u64;
+        if rows == 0 {
+            return None;
+        }
+        let cols = (outputs as u64).checked_mul(u64::from(arch.weight_bits))?;
+        let mask_words = cols.div_ceil(64).max(1);
+        let plane_words = rows.div_ceil(64).checked_mul(cols)?;
+        // both sides' planes and masks, plus the subarray record itself
+        let subarray = (plane_words.checked_add(mask_words)?)
+            .checked_mul(2 * size_of::<u64>() as u64)?
+            .checked_add(size_of::<DiffSubarray>() as u64)?;
+        // packed entries, the register image, the all-live mask
+        let fixed = (rows.checked_add(1 + 128)?.checked_mul(size_of::<u32>() as u64)?)
+            .checked_add(mask_words * size_of::<u64>() as u64)?;
+        (depth as u64).div_ceil(rows).checked_mul(subarray)?.checked_add(fixed)
+    }
+
     /// Exports the programmed state of every layer, ordered by layer
-    /// index — the persistable image of the program stage (bit planes,
-    /// skip masks, packed LUTs). Installing the result into a fresh
-    /// engine with [`PimMvm::import_programming`] reproduces this
-    /// engine's forward bits without re-slicing a single weight.
+    /// index — a copy of the program stage's output (bit planes, skip
+    /// masks, packed LUTs) for inspection and kernel replay.
     pub fn export_programming(&self) -> Vec<ProgrammedLayerState> {
         let mut out: Vec<ProgrammedLayerState> = self
             .programmed
@@ -658,72 +659,6 @@ impl PimMvm {
         out
     }
 
-    /// Installs previously exported programming, replacing any existing
-    /// state for those layers. Every layer is validated against this
-    /// engine's architecture — array height, LUT length, differential
-    /// pair shape, mask coverage — before anything is installed, so a
-    /// snapshot from a different geometry (or a corrupted one) is
-    /// rejected whole at the API boundary instead of panicking inside
-    /// the kernels mid-batch.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProgramImportError`] naming the first offending layer.
-    pub fn import_programming(
-        &mut self,
-        layers: Vec<ProgrammedLayerState>,
-    ) -> Result<(), ProgramImportError> {
-        let rows = self.arch.xbar.rows;
-        for state in &layers {
-            let fail =
-                |reason: String| Err(ProgramImportError { mvm_index: state.mvm_index, reason });
-            if state.lut_entries.len() != rows + 1 {
-                return fail(format!(
-                    "LUT has {} entries, architecture needs {}",
-                    state.lut_entries.len(),
-                    rows + 1
-                ));
-            }
-            for (s, sub) in state.subarrays.iter().enumerate() {
-                if !sub.pos.backing_consistent() || !sub.neg.backing_consistent() {
-                    return fail(format!("subarray {s} has inconsistent bit-plane storage"));
-                }
-                if sub.pos.rows() != rows || sub.neg.rows() != rows {
-                    return fail(format!(
-                        "subarray {s} is {}/{} rows tall, architecture has {rows}",
-                        sub.pos.rows(),
-                        sub.neg.rows()
-                    ));
-                }
-                if sub.pos.cols() != sub.neg.cols() {
-                    return fail(format!(
-                        "subarray {s} differential pair disagrees on width: {} vs {}",
-                        sub.pos.cols(),
-                        sub.neg.cols()
-                    ));
-                }
-                if !sub.pos_live.covers(sub.pos.cols()) || !sub.neg_live.covers(sub.neg.cols()) {
-                    return fail(format!("subarray {s} skip masks do not cover its columns"));
-                }
-            }
-        }
-        for state in layers {
-            let subarrays = state
-                .subarrays
-                .into_iter()
-                .map(|s| DiffSubarray {
-                    pos: s.pos,
-                    neg: s.neg,
-                    pos_live: s.pos_live,
-                    neg_live: s.neg_live,
-                })
-                .collect();
-            let lut = Lut::from_parts(state.lut_entries, state.lut_delta, &self.arch);
-            self.programmed.insert(state.mvm_index, Programmed::new(subarrays, lut));
-        }
-        Ok(())
-    }
-
     /// Takes the collected count histograms, ordered by layer index.
     #[must_use]
     pub fn take_samples(&mut self) -> Vec<LayerSamples> {
@@ -741,7 +676,9 @@ impl PimMvm {
         out
     }
 
-    fn scheme_for(&self, mvm_index: usize) -> AdcScheme {
+    /// The ADC scheme layer `mvm_index` runs: its plan entry, or
+    /// [`AdcScheme::Ideal`] past the end of the plan.
+    pub fn scheme_for(&self, mvm_index: usize) -> AdcScheme {
         self.plan.get(mvm_index).copied().unwrap_or(AdcScheme::Ideal)
     }
 
@@ -806,7 +743,10 @@ impl PimMvm {
             let (pos_live, neg_live) = (ColMask::of(&pos), ColMask::of(&neg));
             subarrays.push(DiffSubarray { pos, neg, pos_live, neg_live });
         }
-        let lut = self.scheme_for(info.mvm_index).build_lut(&self.arch);
+        let lut = self
+            .scheme_for(info.mvm_index)
+            .build_lut(&self.arch)
+            .unwrap_or_else(|e| panic!("layer {} cannot be programmed: {e}", info.mvm_index));
         self.programmed.insert(info.mvm_index, Programmed::new(subarrays, lut));
     }
 
@@ -1051,6 +991,27 @@ mod tests {
         let got = pim.mvm(&info, &weights, &cols, 4);
         let want = ExactMvm.mvm(&info, &weights, &cols, 4);
         assert_eq!(got, want, "ideal crossbar datapath must be exact");
+    }
+
+    #[test]
+    fn programmed_bytes_bounds_what_programming_allocates() {
+        for (depth, outputs) in [(1, 1), (150, 3), (300, 17)] {
+            let mut pim = PimMvm::new(arch(), vec![]);
+            pim.program_layer(&info(depth, outputs), &vec![1; depth * outputs]);
+            let words: usize = pim.export_programming()[0]
+                .subarrays
+                .iter()
+                .map(|s| s.pos.word_capacity() + s.neg.word_capacity())
+                .sum();
+            let planes = (words * size_of::<u64>()) as u64;
+            let bytes = PimMvm::programmed_bytes(&arch(), depth, outputs).unwrap();
+            // the rest is masks, subarray records and the LUT
+            assert!((planes..planes + 4096).contains(&bytes), "{depth}x{outputs}: {bytes}");
+        }
+        let rowless =
+            ArchConfig { xbar: trq_xbar::CrossbarConfig { rows: 0, ..arch().xbar }, ..arch() };
+        assert_eq!(PimMvm::programmed_bytes(&rowless, 1, 1), None);
+        assert_eq!(PimMvm::programmed_bytes(&arch(), 1, usize::MAX), None);
     }
 
     #[test]

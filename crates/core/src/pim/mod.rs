@@ -24,8 +24,6 @@ mod engine;
 mod scheme;
 mod stats;
 
-pub use engine::{
-    CollectorConfig, LayerSamples, PimMvm, ProgramImportError, ProgrammedLayerState, SubarrayState,
-};
+pub use engine::{CollectorConfig, LayerSamples, PimMvm, ProgrammedLayerState, SubarrayState};
 pub use scheme::AdcScheme;
 pub use stats::{LayerStats, PimStats};

@@ -2,7 +2,7 @@
 
 use crate::arch::ArchConfig;
 use serde::{Deserialize, Serialize};
-use trq_quant::{TrqParams, TwinRangeQuantizer, UniformQuantizer};
+use trq_quant::{QuantError, TrqParams, TwinRangeQuantizer, UniformQuantizer};
 use trq_xbar::DecodeTable;
 
 /// How a layer's bit-line samples are digitised.
@@ -35,30 +35,48 @@ impl AdcScheme {
     /// the scale of one LSB, and A/D operations per conversion (the
     /// baseline resolution `arch.adc_bits` for the ideal scheme), packed
     /// one entry per count.
-    pub(crate) fn build_lut(&self, arch: &ArchConfig) -> Lut {
+    ///
+    /// # Errors
+    ///
+    /// Returns what [`AdcScheme::validate`] reports.
+    pub(crate) fn build_lut(&self, arch: &ArchConfig) -> Result<Lut, String> {
         let max_count = arch.xbar.rows as u32;
-        match self {
+        let invalid = |e: QuantError| e.to_string();
+        match *self {
             AdcScheme::Ideal => {
                 Lut::new((0..=max_count).map(|c| (c, arch.adc_bits as u8)), 1.0, arch)
             }
             AdcScheme::Uniform { bits, vgrid } => {
-                // lint: allow(unwrap): scheme parameters were validated at
-                // construction
-                let q = UniformQuantizer::new(*bits, *vgrid).expect("validated scheme");
-                Lut::new((0..=max_count).map(|c| (q.code(c as f64), *bits as u8)), *vgrid, arch)
+                let q = UniformQuantizer::new(bits, vgrid).map_err(invalid)?;
+                Lut::new((0..=max_count).map(|c| (q.code(c as f64), bits as u8)), vgrid, arch)
             }
-            AdcScheme::Trq(params) => {
-                let q = TwinRangeQuantizer::new(*params);
+            AdcScheme::Trq(p) => {
+                let params = TrqParams::new(p.n_r1(), p.n_r2(), p.m(), p.delta_r1(), p.bias())
+                    .map_err(invalid)?;
+                let q = TwinRangeQuantizer::new(params);
                 Lut::new(
                     (0..=max_count).map(|c| {
                         let v = q.quantize(c as f64);
-                        (v.code.decode_lsb(params), v.ops as u8)
+                        (v.code.decode_lsb(&params), v.ops as u8)
                     }),
                     params.delta_r1(),
                     arch,
                 )
             }
         }
+    }
+
+    /// Checks that the engine can program this scheme on `arch` (whose
+    /// crossbar geometry must itself be valid): the parameters pass their
+    /// constructor again — a scheme decoded from a file never ran it — and
+    /// every count's reconstruction fits the packed LUT entry.
+    ///
+    /// # Errors
+    ///
+    /// Returns the constructor's rejection, or names the first count whose
+    /// magnitude overflows the entry's 24 bits.
+    pub fn validate(&self, arch: &ArchConfig) -> Result<(), String> {
+        self.build_lut(arch).map(drop)
     }
 
     /// Worst-case ops per conversion (used for sanity checks).
@@ -90,27 +108,27 @@ impl Lut {
     /// Packs `(lsb, ops)` pairs indexed by BL count into one entry array
     /// for counts of `arch`'s input bit-planes × weight slices.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when a magnitude overflows the 24-bit entry field (no
-    /// physical array height comes close).
-    fn new(parts: impl Iterator<Item = (u32, u8)>, delta: f64, arch: &ArchConfig) -> Self {
+    /// Names the first count whose magnitude overflows the packed entry.
+    fn new(
+        parts: impl Iterator<Item = (u32, u8)>,
+        delta: f64,
+        arch: &ArchConfig,
+    ) -> Result<Self, String> {
         let entries = parts
-            .map(|(lsb, ops)| {
-                assert!(lsb <= DecodeTable::LSB_MASK, "magnitude overflows the packed LUT entry");
-                lsb | ((ops as u32) << DecodeTable::OPS_SHIFT)
+            .enumerate()
+            .map(|(count, (lsb, ops))| {
+                if lsb > DecodeTable::LSB_MASK {
+                    return Err(format!(
+                        "count {count} reconstructs to {lsb} LSBs, past the 24-bit entry"
+                    ));
+                }
+                Ok(lsb | (u32::from(ops) << DecodeTable::OPS_SHIFT))
             })
-            .collect();
-        Lut::from_parts(entries, delta, arch)
-    }
-
-    /// Reassembles a table from previously exported packed entries (the
-    /// persistence path — entries carry their ops byte and magnitude bits
-    /// already packed, so no re-encoding happens and a restored table is
-    /// bit-identical to the one built at programming time).
-    pub(crate) fn from_parts(entries: Vec<u32>, delta: f64, arch: &ArchConfig) -> Self {
+            .collect::<Result<_, _>>()?;
         let table = DecodeTable::new(entries, arch.input_bits as usize, arch.weight_bits as usize);
-        Lut { table, delta }
+        Ok(Lut { table, delta })
     }
 
     /// The decode primitive's view of the table.
@@ -145,7 +163,7 @@ mod tests {
 
     #[test]
     fn ideal_lut_is_identity() {
-        let lut = AdcScheme::Ideal.build_lut(&ArchConfig::default());
+        let lut = AdcScheme::Ideal.build_lut(&ArchConfig::default()).unwrap();
         for c in 0..=128u32 {
             assert_eq!(lut.lsb(c), c);
             assert_eq!(lut.ops(c), 8);
@@ -156,7 +174,7 @@ mod tests {
     #[test]
     fn uniform_lut_matches_sar_adc() {
         let scheme = AdcScheme::uniform(5, 3.7);
-        let lut = scheme.build_lut(&ArchConfig::default());
+        let lut = scheme.build_lut(&ArchConfig::default()).unwrap();
         let adc = UniformSarAdc::new(5, 3.7).unwrap();
         for c in 0..=128u32 {
             let conv = adc.convert(c as f64);
@@ -169,7 +187,7 @@ mod tests {
     #[test]
     fn trq_lut_matches_sar_adc() {
         let params = TrqParams::new(3, 5, 2, 0.9, 0).unwrap();
-        let lut = AdcScheme::Trq(params).build_lut(&ArchConfig::default());
+        let lut = AdcScheme::Trq(params).build_lut(&ArchConfig::default()).unwrap();
         let adc = TrqSarAdc::new(params);
         for c in 0..=128u32 {
             let conv = adc.convert(c as f64);
@@ -189,14 +207,29 @@ mod tests {
             trq(3, 7, 1, 1.0, 0),
             trq(3, 5, 2, 0.9, 2),
         ] {
-            assert!(scheme.build_lut(&arch).table().register_eligible(), "{scheme:?}");
+            assert!(scheme.build_lut(&arch).unwrap().table().register_eligible(), "{scheme:?}");
         }
         // R2 magnitudes up to 255 << 8 overflow an i32 row sum of 8 × 8
         // bit rows: this layer keeps the segment walk
-        assert!(!trq(2, 8, 8, 0.001, 0).build_lut(&arch).table().register_eligible());
+        assert!(!trq(2, 8, 8, 0.001, 0).build_lut(&arch).unwrap().table().register_eligible());
         // arrays taller than the register table also keep it
         let tall = ArchConfig { xbar: trq_xbar::CrossbarConfig { rows: 256, ..arch.xbar }, ..arch };
-        assert!(!AdcScheme::Ideal.build_lut(&tall).table().register_eligible());
+        assert!(!AdcScheme::Ideal.build_lut(&tall).unwrap().table().register_eligible());
+    }
+
+    #[test]
+    fn validate_rejects_luts_the_entry_cannot_pack() {
+        let arch = ArchConfig::default();
+        assert_eq!(
+            AdcScheme::Trq(TrqParams::new(3, 7, 1, 1.0, 0).unwrap()).validate(&arch),
+            Ok(())
+        );
+        // constructor-valid, but R2 codes shifted by M = 16 reach 2^32
+        let wide = AdcScheme::Trq(TrqParams::new(2, 16, 16, 1e-9, 0).unwrap());
+        let err = wide.validate(&arch).unwrap_err();
+        assert!(err.contains("24-bit"), "{err}");
+        assert!(AdcScheme::uniform(17, 1.0).validate(&arch).is_err());
+        assert!(AdcScheme::uniform(4, f64::NAN).validate(&arch).is_err());
     }
 
     #[test]

@@ -3,10 +3,11 @@
 //! A [`Model`] owns everything one resident model needs to serve: the
 //! quantized network, its per-layer ADC plan, and a fully *programmed*
 //! [`PimMvm`] engine. Programming (bit-slicing weights, building LUTs)
-//! happens once — eagerly in [`Model::program`], or not at all when the
-//! model comes off disk via [`Model::from_snapshot`] /
-//! [`Model::load_latest`], which install the snapshot's programmed state
-//! directly.
+//! happens once, eagerly, for every layer: in [`Model::program`], or in
+//! [`Model::from_snapshot`] / [`Model::load_latest`], which restore the
+//! network, architecture and plan a snapshot holds and program them the
+//! same way — the calibration that chose the plan is what a snapshot
+//! saves.
 //!
 //! A [`Registry`] holds multiple resident models and hands out [`ModelId`]
 //! keys; [`crate::Server::start`] takes a registry and routes each
@@ -146,21 +147,23 @@ impl Model {
         Ok((outputs, self.engine.stats().clone()))
     }
 
-    /// Captures this model's complete programmed state as a
+    /// Captures this model — network, architecture and plan — as a
     /// [`ModelSnapshot`].
     ///
     /// # Errors
     ///
     /// Propagates [`StoreError::Invalid`] (cannot happen for a model
-    /// built through this type, which always programs every layer).
+    /// built through this type, whose engine never emulates device
+    /// noise).
     pub fn snapshot(&self) -> Result<ModelSnapshot, StoreError> {
         ModelSnapshot::capture(&self.name, &self.qnet, &self.engine)
     }
 
-    /// Rebuilds a model from a snapshot without re-programming anything —
-    /// the "warm start" path. The result is bit-identical to the model
-    /// the snapshot was captured from: same outputs, same
-    /// [`PimStats`] ledgers.
+    /// Rebuilds a model from a snapshot — the "warm start" path: no
+    /// quantization or calibration, only the program stage, which
+    /// [`ModelSnapshot::restore`] runs for every layer. The result is
+    /// bit-identical to the model the snapshot was captured from: same
+    /// outputs, same [`PimStats`] ledgers.
     ///
     /// # Errors
     ///

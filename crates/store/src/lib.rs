@@ -1,14 +1,14 @@
 //! Versioned, checksummed on-disk snapshots of programmed PIM models.
 //!
-//! Programming a model into the simulated crossbars is the expensive part
-//! of bringing a replica up: quantization, calibration-plan search
-//! (Algorithm 1), then bit-slicing every layer's weights onto differential
-//! subarrays and building the per-layer conversion LUTs. A
-//! [`ModelSnapshot`] captures the *result* of all of that — the quantized
-//! network, the architecture, the per-layer ADC plan, and the exact
-//! programmed state (bit planes, skip masks, packed LUTs) — so a fresh
-//! process restores a bit-identical engine in milliseconds instead of
-//! re-deriving it.
+//! The expensive part of bringing a replica up is deciding what to
+//! program: quantization, then the calibration-plan search (Algorithm 1).
+//! A [`ModelSnapshot`] captures the *result* — the quantized network, the
+//! architecture, and the per-layer ADC plan — so a fresh process skips
+//! both. The programmed crossbar state (bit planes, skip masks, packed
+//! LUTs) is a deterministic function of those three parts, so it is not
+//! stored: [`ModelSnapshot::restore`] re-runs the program stage, about a
+//! millisecond for the benchmark MLP, and the restored engine is
+//! bit-identical by construction.
 //!
 //! # File format
 //!
@@ -26,7 +26,11 @@
 //!
 //! Every failure mode maps to a typed [`StoreError`]: wrong magic,
 //! unknown version, truncated payload, checksum mismatch, undecodable or
-//! geometry-inconsistent payload. Decoding never panics on hostile bytes.
+//! inconsistent payload. Decoding and restoring never panic on hostile
+//! bytes, and restore refuses any snapshot whose programmed arrays would
+//! take more than [`MAX_PROGRAMMED_BYTES`] before allocating them.
+//! Payloads written while snapshots still carried a `programming` array
+//! decode as before: the decoder skips the field.
 //!
 //! # Generations
 //!
@@ -52,7 +56,7 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::path::{Path, PathBuf};
 use trq_core::arch::ArchConfig;
-use trq_core::pim::{AdcScheme, PimMvm, ProgrammedLayerState};
+use trq_core::pim::{AdcScheme, PimMvm};
 use trq_nn::QuantizedNetwork;
 
 /// Leading bytes of every snapshot file.
@@ -61,6 +65,11 @@ pub const MAGIC: [u8; 8] = *b"TRQSTORE";
 pub const FORMAT_VERSION: u32 = 1;
 /// Fixed envelope header size: magic + version + length + checksum.
 pub const HEADER_LEN: usize = 8 + 4 + 8 + 8;
+/// Most heap bytes [`ModelSnapshot::restore`] lets the program stage
+/// allocate ([`PimMvm::programmed_bytes`] summed over the layers). A
+/// depth-1 layer on 4096-row arrays costs 8 KiB of planes per weight
+/// code, so without a cap a 1 MB payload could ask for about 4 GB.
+pub const MAX_PROGRAMMED_BYTES: u64 = 256 << 20;
 
 const GEN_PREFIX: &str = "gen-";
 const GEN_SUFFIX: &str = ".trqs";
@@ -112,8 +121,10 @@ pub enum StoreError {
         /// What the encoder rejected.
         reason: String,
     },
-    /// The snapshot decoded but is internally inconsistent — its
-    /// programming does not match its own network and architecture.
+    /// The snapshot decoded but cannot be restored: its parts disagree
+    /// with each other, a parameter bypassed its constructor's checks,
+    /// or programming it would exceed [`MAX_PROGRAMMED_BYTES`]. Capture
+    /// reports an engine it cannot snapshot faithfully the same way.
     Invalid {
         /// Which consistency check failed.
         reason: String,
@@ -178,69 +189,78 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 }
 
 /// Everything needed to reconstruct a serving-ready model byte-for-byte:
-/// the quantized network, the architecture it was programmed for, the
-/// per-layer ADC plan, and the programmed crossbar state itself.
+/// the quantized network, the architecture it is programmed for, and the
+/// per-layer ADC plan.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ModelSnapshot {
     /// Human-readable model name (carried into registry listings).
     pub name: String,
-    /// Architecture the programming targets.
+    /// Architecture the model is programmed for.
     pub arch: ArchConfig,
     /// Per-layer ADC scheme, indexed by `mvm_index`.
     pub plan: Vec<AdcScheme>,
     /// The quantized network (weights, scales, biases, geometry).
     pub qnet: QuantizedNetwork,
-    /// Programmed crossbar state per layer, sorted by `mvm_index`.
-    pub programming: Vec<ProgrammedLayerState>,
 }
 
 impl ModelSnapshot {
-    /// Captures a snapshot of `engine` as programmed for `qnet`.
+    /// Captures a snapshot of `engine` as programmed for `qnet`: one plan
+    /// entry per layer of `qnet`, the layers past the end of the engine's
+    /// plan recorded as the [`AdcScheme::Ideal`] they run.
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError::Invalid`] unless every MVM layer of `qnet`
-    /// has been programmed (run [`PimMvm::program_layer`] for each layer,
-    /// or at least one forward pass, first) — a partial snapshot would
-    /// silently re-pay programming cost on restore, defeating the point.
+    /// Returns [`StoreError::Invalid`] when the engine emulates device
+    /// noise: a snapshot restores an ideal device, so it would silently
+    /// serve different numbers.
     pub fn capture(
         name: &str,
         qnet: &QuantizedNetwork,
         engine: &PimMvm,
     ) -> Result<Self, StoreError> {
-        let programming = engine.export_programming();
-        let layers = qnet.layers().len();
-        if programming.len() != layers {
+        if let Some(noise) = engine.device_noise() {
             return Err(StoreError::Invalid {
-                reason: format!(
-                    "engine has {} of {layers} layers programmed; snapshot requires all",
-                    programming.len()
-                ),
+                reason: format!("cannot snapshot an engine with device noise {noise:?}"),
             });
         }
         Ok(ModelSnapshot {
             name: name.to_string(),
             arch: *engine.arch(),
-            plan: engine.plan().to_vec(),
+            plan: (0..qnet.layers().len()).map(|l| engine.scheme_for(l)).collect(),
             qnet: qnet.clone(),
-            programming,
         })
     }
 
-    /// Rebuilds the quantized network and a programmed engine from this
-    /// snapshot. The returned engine produces bit-identical outputs and
+    /// Rebuilds the quantized network and an engine with every layer
+    /// programmed, exactly as [`PimMvm::program_layer`] programs a fresh
+    /// engine. The returned engine produces bit-identical outputs and
     /// [`trq_core::pim::PimStats`] ledgers to the engine the snapshot was
     /// captured from.
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError::Invalid`] when the snapshot's parts disagree
-    /// with each other: plan or programming not covering every layer, a
-    /// layer's subarray count or column width inconsistent with the
-    /// snapshot's own network and architecture, or any of the
-    /// [`PimMvm::import_programming`] geometry checks failing.
+    /// Returns [`StoreError::Invalid`], before programming allocates
+    /// anything, when:
+    /// - the architecture's crossbar geometry fails its `validate`, its
+    ///   weight or input bits lie outside `1..=8`, or it selects a kernel
+    ///   tier this host cannot run;
+    /// - the plan does not name one scheme per layer, or a scheme fails
+    ///   [`AdcScheme::validate`];
+    /// - a layer's index is not its position, or its weight codes do not
+    ///   fill `depth × outputs`;
+    /// - the programmed arrays would take more than
+    ///   [`MAX_PROGRAMMED_BYTES`].
     pub fn restore(&self) -> Result<(QuantizedNetwork, PimMvm), StoreError> {
         let invalid = |reason: String| Err(StoreError::Invalid { reason });
+        let arch = &self.arch;
+        if let Err(e) = arch.xbar.validate() {
+            return invalid(e.to_string());
+        }
+        for (what, bits) in [("weight", arch.weight_bits), ("input", arch.input_bits)] {
+            if !(1..=8).contains(&bits) {
+                return invalid(format!("{what} bits {bits} not in 1..=8"));
+            }
+        }
         let layers = self.qnet.layers();
         if self.plan.len() != layers.len() {
             return invalid(format!(
@@ -249,46 +269,38 @@ impl ModelSnapshot {
                 layers.len()
             ));
         }
-        if self.programming.len() != layers.len() {
-            return invalid(format!(
-                "programming covers {} layers, network has {}",
-                self.programming.len(),
-                layers.len()
-            ));
-        }
-        let wbits = self.arch.weight_bits as usize;
-        for (slot, state) in self.programming.iter().enumerate() {
-            if state.mvm_index != slot {
+        let mut footprint = 0u64;
+        for (slot, (layer, scheme)) in layers.iter().zip(&self.plan).enumerate() {
+            let info = &layer.info;
+            if info.mvm_index != slot {
+                return invalid(format!("layer {slot} claims index {}", info.mvm_index));
+            }
+            if info.depth.checked_mul(info.outputs) != Some(layer.weights_q.len()) {
                 return invalid(format!(
-                    "programming slot {slot} claims layer index {}",
-                    state.mvm_index
+                    "layer {slot} has {} weight codes for depth {} x {} outputs",
+                    layer.weights_q.len(),
+                    info.depth,
+                    info.outputs
                 ));
             }
-            let info = &layers[slot].info;
-            let want_subs = self.arch.subarrays_for_depth(info.depth);
-            if state.subarrays.len() != want_subs {
+            if let Err(reason) = scheme.validate(arch) {
+                return invalid(format!("layer {slot} scheme {scheme:?}: {reason}"));
+            }
+            let Some(total) = PimMvm::programmed_bytes(arch, info.depth, info.outputs)
+                .and_then(|bytes| footprint.checked_add(bytes))
+                .filter(|&total| total <= MAX_PROGRAMMED_BYTES)
+            else {
                 return invalid(format!(
-                    "layer {slot} has {} subarrays, depth {} needs {want_subs}",
-                    state.subarrays.len(),
-                    info.depth
+                    "programming layers 0..={slot} takes more than {MAX_PROGRAMMED_BYTES} bytes"
                 ));
-            }
-            let want_cols = info.outputs * wbits;
-            for (s, sub) in state.subarrays.iter().enumerate() {
-                if sub.pos.cols() != want_cols {
-                    return invalid(format!(
-                        "layer {slot} subarray {s} is {} columns wide, \
-                         {} outputs x {wbits} weight bits needs {want_cols}",
-                        sub.pos.cols(),
-                        info.outputs
-                    ));
-                }
-            }
+            };
+            footprint = total;
         }
-        let mut engine = PimMvm::new(self.arch, self.plan.clone());
-        engine
-            .import_programming(self.programming.clone())
+        let mut engine = PimMvm::try_new(*arch, self.plan.clone())
             .map_err(|e| StoreError::Invalid { reason: e.to_string() })?;
+        for layer in layers {
+            engine.program_layer(&layer.info, &layer.weights_q);
+        }
         Ok((self.qnet.clone(), engine))
     }
 }

@@ -4,8 +4,10 @@
 //! must yield a model whose forward outputs **and** [`PimStats`] event
 //! ledgers are bit-identical to the engine the snapshot came from, at
 //! any thread count. The rejection tests pin the typed error for every
-//! way a file can be damaged: wrong magic, future version, truncation,
-//! bit rot, garbage payload, cross-architecture restore.
+//! way a file can be damaged — wrong magic, future version, truncation,
+//! bit rot, garbage payload — and for every hostile part restore must
+//! refuse before programming: a bad architecture, an unvalidated ADC
+//! scheme, a misnumbered or misshapen layer, an oversized footprint.
 
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -17,8 +19,10 @@ use trq_quant::TrqParams;
 use trq_store::{
     decode_snapshot, encode_snapshot, fnv1a64, load_latest, load_snapshot, save_generation,
     save_snapshot, ModelSnapshot, StoreError, FORMAT_VERSION, HEADER_LEN, MAGIC,
+    MAX_PROGRAMMED_BYTES,
 };
 use trq_tensor::Tensor;
+use trq_xbar::NoiseModel;
 
 /// A fresh scratch directory under the cargo-managed tmp dir.
 fn scratch(label: &str) -> PathBuf {
@@ -185,26 +189,136 @@ fn well_framed_garbage_payload_is_a_decode_error() {
     assert!(matches!(decode_snapshot(&bytes), Err(StoreError::Decode { .. })));
 }
 
-#[test]
-fn cross_architecture_restore_is_rejected() {
-    // capture under the default 128-row arrays, doctor the arch to claim
-    // 64 rows: restore must refuse to install 128-row planes
-    let (_, mut snapshot) = small_snapshot();
-    snapshot.arch.xbar.rows = 64;
-    assert!(matches!(snapshot.restore(), Err(StoreError::Invalid { .. })));
+/// Asserts `snapshot` restores to a typed `Invalid` naming `needle`.
+fn assert_invalid(snapshot: &ModelSnapshot, needle: &str) {
+    match snapshot.restore() {
+        Err(StoreError::Invalid { reason }) => assert!(reason.contains(needle), "{reason}"),
+        Err(other) => panic!("expected Invalid mentioning {needle:?}, got {other:?}"),
+        Ok(_) => panic!("expected Invalid mentioning {needle:?}, restore succeeded"),
+    }
+}
+
+/// Re-decodes `snapshot` after a textual edit of its JSON payload — how
+/// a hostile file reaches fields whose constructors validate them.
+fn doctored(snapshot: &ModelSnapshot, from: &str, to: &str) -> ModelSnapshot {
+    let json = serde_json::to_string(snapshot).expect("encodable");
+    assert!(json.contains(from), "{from:?} not in the payload");
+    serde_json::from_str(&json.replacen(from, to, 1)).expect("doctored payload decodes")
 }
 
 #[test]
-fn incomplete_programming_is_rejected_at_capture() {
+fn doctored_row_count_restores_a_consistent_engine() {
+    // capture under the default 128-row arrays, doctor the arch to claim
+    // 64 rows: restore programs 64-row arrays, exactly as a fresh engine
+    let (qnet, mut snapshot) = small_snapshot();
+    snapshot.arch.xbar.rows = 64;
+    let (restored_qnet, mut warm) = snapshot.restore().expect("a 64-row arch restores");
+    assert_eq!(warm.arch().xbar.rows, 64);
+    let mut fresh = programmed_engine(&qnet, snapshot.arch, snapshot.plan.clone());
+    let images = fixture(12, 5, 77, 3).1;
+    assert_eq!(run_all(&restored_qnet, &mut warm, &images), run_all(&qnet, &mut fresh, &images));
+}
+
+#[test]
+fn short_plan_engine_captures_one_scheme_per_layer() {
+    // an engine whose plan is shorter than the network runs the extra
+    // layers Ideal; its snapshot must say so and restore bit-identically
+    let (qnet, images) = fixture(12, 5, 77, 3);
+    let mut cold = programmed_engine(&qnet, ArchConfig::default(), vec![]);
+    let snapshot = ModelSnapshot::capture("short", &qnet, &cold).expect("ideal engine");
+    assert_eq!(snapshot.plan, vec![AdcScheme::Ideal; qnet.layers().len()]);
+    let (restored_qnet, mut warm) = snapshot.restore().expect("restore succeeds");
+    assert_eq!(run_all(&restored_qnet, &mut warm, &images), run_all(&qnet, &mut cold, &images));
+}
+
+#[test]
+fn noisy_engine_is_refused_at_capture() {
     let (qnet, _) = small_snapshot();
+    let noise = NoiseModel { stuck_off_rate: 0.01, seed: 3, ..NoiseModel::ideal() };
     let plan = vec![AdcScheme::uniform(6, 0.7); qnet.layers().len()];
-    let mut engine = PimMvm::new(ArchConfig::default(), plan);
-    let first = &qnet.layers()[0];
-    engine.program_layer(&first.info, &first.weights_q);
-    assert!(matches!(
-        ModelSnapshot::capture("partial", &qnet, &engine),
-        Err(StoreError::Invalid { .. })
-    ));
+    let engine = PimMvm::new(ArchConfig::default(), plan).with_device_noise(noise);
+    match ModelSnapshot::capture("noisy", &qnet, &engine) {
+        Err(StoreError::Invalid { reason }) => assert!(reason.contains("noise"), "{reason}"),
+        other => panic!("expected Invalid, got {other:?}"),
+    }
+}
+
+#[test]
+fn bad_architecture_is_rejected() {
+    let (_, snapshot) = small_snapshot();
+    let with = |edit: fn(&mut ArchConfig)| {
+        let mut s = snapshot.clone();
+        edit(&mut s.arch);
+        s
+    };
+    assert_invalid(&with(|a| a.xbar.rows = 0), "positive");
+    assert_invalid(&with(|a| a.xbar.rows = 5000), "4096");
+    assert_invalid(&with(|a| a.xbar.dac_bits = 9), "dac_bits");
+    assert_invalid(&with(|a| a.weight_bits = 0), "weight bits 0");
+    assert_invalid(&with(|a| a.weight_bits = 9), "weight bits 9");
+    assert_invalid(&with(|a| a.input_bits = 40), "input bits 40");
+}
+
+#[test]
+fn plan_not_covering_every_layer_is_rejected() {
+    let (_, mut snapshot) = small_snapshot();
+    snapshot.plan.pop();
+    assert_invalid(&snapshot, "plan covers");
+}
+
+#[test]
+fn scheme_that_bypassed_its_constructor_is_rejected() {
+    let (_, mut snapshot) = small_snapshot();
+    snapshot.plan[0] = AdcScheme::Uniform { bits: 40, vgrid: 0.7 };
+    assert_invalid(&snapshot, "bits must be in 1..=16");
+    snapshot.plan[0] = AdcScheme::Uniform { bits: 6, vgrid: -1.0 };
+    assert_invalid(&snapshot, "step");
+
+    // TrqParams fields are private: only a decoded payload reaches them
+    snapshot.plan[0] = AdcScheme::Trq(TrqParams::new(3, 7, 1, 1.0, 0).expect("static params"));
+    assert_invalid(&doctored(&snapshot, "\"n_r1\":3", "\"n_r1\":40"), "n_r1");
+    assert_invalid(&doctored(&snapshot, "\"m\":1", "\"m\":40"), "m must be");
+    assert_invalid(&doctored(&snapshot, "\"bias\":0", "\"bias\":4000000"), "bias");
+
+    // constructor-valid, but its R2 codes overflow the packed LUT entry
+    snapshot.plan[0] = AdcScheme::Trq(TrqParams::new(2, 16, 16, 1e-9, 0).expect("valid params"));
+    assert_invalid(&snapshot, "24-bit");
+}
+
+#[test]
+fn misnumbered_layer_is_rejected() {
+    let (_, snapshot) = small_snapshot();
+    assert!(snapshot.qnet.layers().len() >= 2);
+    assert_invalid(&doctored(&snapshot, "\"mvm_index\":1,", "\"mvm_index\":0,"), "claims index 0");
+}
+
+#[test]
+fn weight_count_not_matching_the_geometry_is_rejected() {
+    let (_, snapshot) = small_snapshot();
+    let depth = snapshot.qnet.layers()[0].info.depth;
+    let wrong =
+        doctored(&snapshot, &format!("\"depth\":{depth},"), &format!("\"depth\":{},", depth + 1));
+    assert_invalid(&wrong, "weight codes");
+    // depth x outputs overflows usize: checked, not wrapped into a match
+    let huge = format!("\"depth\":{},", usize::MAX / 2);
+    assert_invalid(&doctored(&snapshot, &format!("\"depth\":{depth},"), &huge), "weight codes");
+}
+
+#[test]
+fn footprint_past_the_cap_is_rejected_before_programming() {
+    // one input feeding 40 000 hidden units: on 4096-row arrays every
+    // weight code of layer 0 costs 8 KiB of planes, ~312 MiB in all
+    let (qnet, _) = fixture(1, 40_000, 5, 2);
+    let arch = ArchConfig {
+        xbar: trq_xbar::CrossbarConfig { rows: 4096, ..ArchConfig::default().xbar },
+        ..ArchConfig::default()
+    };
+    let first = &qnet.layers()[0].info;
+    let bytes = PimMvm::programmed_bytes(&arch, first.depth, first.outputs).expect("no overflow");
+    assert!(bytes > MAX_PROGRAMMED_BYTES, "{bytes} bytes must exceed the cap");
+    let snapshot =
+        ModelSnapshot::capture("huge", &qnet, &PimMvm::new(arch, vec![])).expect("ideal");
+    assert_invalid(&snapshot, "bytes");
 }
 
 #[test]
@@ -264,6 +378,69 @@ fn legacy_dispatch_field_in_exec_restores_bit_identically() {
     let (legacy_qnet, mut got_engine) = decoded.restore().expect("legacy restore succeeds");
     let (want, want_stats) = run_all(&qnet, &mut want_engine, &images);
     let (got, got_stats) = run_all(&legacy_qnet, &mut got_engine, &images);
+    assert_eq!(got, want, "legacy restore must reproduce the forward bits");
+    assert_eq!(got_stats, want_stats, "legacy restore must reproduce the ledger");
+}
+
+fn to_json<T: serde::Serialize>(value: &T) -> String {
+    serde_json::to_string(value).expect("encodable")
+}
+
+/// Format-1 snapshots once carried the programmed crossbar image as a
+/// trailing `programming` array. Such payloads must still decode, with
+/// the field skipped, and restore bit-identically by re-programming.
+#[test]
+fn legacy_programming_field_restores_bit_identically() {
+    let (qnet, images) = fixture(12, 5, 77, 3);
+    let plan = vec![AdcScheme::uniform(6, 0.7); qnet.layers().len()];
+    let mut cold = programmed_engine(&qnet, ArchConfig::default(), plan);
+    let snapshot = ModelSnapshot::capture("legacy", &qnet, &cold).expect("ideal engine");
+    let layers: Vec<String> = cold
+        .export_programming()
+        .iter()
+        .map(|layer| {
+            let subarrays: Vec<String> = layer
+                .subarrays
+                .iter()
+                .map(|sub| {
+                    format!(
+                        r#"{{"pos":{},"neg":{},"pos_live":{},"neg_live":{}}}"#,
+                        to_json(&sub.pos),
+                        to_json(&sub.neg),
+                        to_json(&sub.pos_live),
+                        to_json(&sub.neg_live),
+                    )
+                })
+                .collect();
+            format!(
+                r#"{{"mvm_index":{},"subarrays":[{}],"lut_entries":{},"lut_delta":{}}}"#,
+                layer.mvm_index,
+                subarrays.join(","),
+                to_json(&layer.lut_entries),
+                to_json(&layer.lut_delta),
+            )
+        })
+        .collect();
+    let bytes = encode_snapshot(&snapshot).expect("encodable");
+    let payload = std::str::from_utf8(&bytes[HEADER_LEN..]).expect("JSON payload");
+    let stem = payload.strip_suffix('}').expect("a JSON object");
+    let legacy = format!(r#"{stem},"programming":[{}]}}"#, layers.join(","));
+    let mut framed = Vec::new();
+    framed.extend_from_slice(&MAGIC);
+    framed.extend_from_slice(&1u32.to_le_bytes());
+    framed.extend_from_slice(&(legacy.len() as u64).to_le_bytes());
+    framed.extend_from_slice(&fnv1a64(legacy.as_bytes()).to_le_bytes());
+    framed.extend_from_slice(legacy.as_bytes());
+
+    if FORMAT_VERSION != 1 {
+        assert!(matches!(decode_snapshot(&framed), Err(StoreError::UnsupportedVersion { .. })));
+        return;
+    }
+    let decoded = decode_snapshot(&framed).expect("a legacy payload decodes");
+    assert_eq!(decoded, snapshot, "the legacy field must change nothing");
+    let (legacy_qnet, mut warm) = decoded.restore().expect("legacy restore succeeds");
+    let (want, want_stats) = run_all(&qnet, &mut cold, &images);
+    let (got, got_stats) = run_all(&legacy_qnet, &mut warm, &images);
     assert_eq!(got, want, "legacy restore must reproduce the forward bits");
     assert_eq!(got_stats, want_stats, "legacy restore must reproduce the ledger");
 }

@@ -120,16 +120,6 @@ impl BitMatrix {
         self.cols
     }
 
-    /// True when the backing word storage matches the declared geometry.
-    /// A matrix built by this crate always is; one deserialized from an
-    /// untrusted source may not be, and an inconsistent matrix would panic
-    /// inside the kernels — callers restoring persisted matrices check
-    /// this first and reject the input with a typed error instead.
-    pub fn backing_consistent(&self) -> bool {
-        self.words_per_col == self.rows.div_ceil(64).max(1)
-            && self.words.len() == self.words_per_col * self.cols
-    }
-
     /// Reads the cell at `(row, col)`.
     ///
     /// # Panics

@@ -202,14 +202,6 @@ impl ColMask {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// True when the mask's backing words cover exactly `cols` columns —
-    /// the shape check callers run on deserialized masks before handing
-    /// them to the kernels (a short mask would panic in
-    /// [`ColMask::is_live`]).
-    pub fn covers(&self, cols: usize) -> bool {
-        self.words.len() == cols.div_ceil(64).max(1)
-    }
-
     /// True when columns `0..cols` can be queried without panicking.
     pub(crate) fn spans(&self, cols: usize) -> bool {
         cols <= self.words.len() * 64
