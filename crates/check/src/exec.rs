@@ -109,6 +109,9 @@ pub(crate) struct Exec {
 
 thread_local! {
     static CTX: RefCell<Option<ThreadCtx>> = const { RefCell::new(None) };
+    /// The message of this thread's latest panic inside a model, kept by
+    /// the panic hook for [`ThreadCtx::fail_unwinding`]'s report.
+    static PANIC_MSG: RefCell<Option<String>> = const { RefCell::new(None) };
 }
 
 /// The per-OS-thread handle into the running execution.
@@ -371,6 +374,21 @@ impl ThreadCtx {
         mode
     }
 
+    /// For a shim operation on an unwinding thread, which runs without a
+    /// decision point (one could panic again and abort the process): when
+    /// the operation must wait for another thread (a lock it holds, a
+    /// join target still running) and the execution is not already
+    /// tearing down, the execution fails as a panic, so every other
+    /// thread unwinds and the wait ends.
+    pub(crate) fn fail_unwinding(&self, st: &mut ExecState, waits_for: String) {
+        if !st.aborting {
+            let panic = PANIC_MSG.with(|m| m.borrow().clone()).unwrap_or_default();
+            let reason = format!("t{} panicked ({panic}), and its unwind {waits_for}", self.tid);
+            fail(st, FailureKind::Panic(reason));
+            self.exec.cv.notify_all();
+        }
+    }
+
     /// Allocates a fresh per-execution object id (mutex/condvar labels).
     pub(crate) fn alloc_obj_id(st: &mut ExecState) -> u64 {
         st.next_obj += 1;
@@ -520,6 +538,7 @@ fn install_panic_hook() {
         let previous = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
             if try_current().is_some() {
+                PANIC_MSG.with(|m| *m.borrow_mut() = Some(panic_message(info.payload())));
                 return;
             }
             previous(info);

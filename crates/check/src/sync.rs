@@ -67,10 +67,35 @@ impl<T> Mutex<T> {
 
     /// Acquires the lock at a scheduling decision point, parking the
     /// simulated thread while another owns it. Never poisons.
+    ///
+    /// A thread that is unwinding (a failed assertion, or teardown) takes
+    /// the lock without a decision point and never unwinds again: a
+    /// second panic there would abort the process.
     pub fn lock(&self) -> LockResult<MutexGuard<'_, T>> {
         let ctx = current();
+        if std::thread::panicking() {
+            return Ok(self.lock_unwinding(&ctx));
+        }
         ctx.schedule("mutex.lock");
         Ok(self.lock_resumed(&ctx))
+    }
+
+    /// The lock of an unwinding thread: it neither schedules nor unwinds
+    /// again. A free lock is taken at once (the caller holds the baton, or
+    /// the execution is tearing down); for one another thread owns, the
+    /// execution tears down ([`ThreadCtx::fail_unwinding`]) and the owner
+    /// unwinds and releases it.
+    fn lock_unwinding(&self, ctx: &ThreadCtx) -> MutexGuard<'_, T> {
+        {
+            let mut st = ctx.lock_state();
+            let id = self.ensure_id(&mut st);
+            let owner = self.with_meta(|meta| *meta.owner.get_or_insert(ctx.tid));
+            if owner != ctx.tid {
+                ctx.fail_unwinding(&mut st, format!("locks mutex#{id}, held by t{owner}"));
+            }
+        }
+        let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+        MutexGuard { mutex: self, inner: Some(inner), ctx: ctx.clone() }
     }
 
     /// The acquire loop without the leading decision point — used after a
@@ -244,10 +269,13 @@ impl Condvar {
     }
 
     /// Wakes one waiter; *which* one is a recorded scheduling choice, so
-    /// exhaustive exploration covers every wakeup order.
+    /// exhaustive exploration covers every wakeup order. An unwinding
+    /// thread notifies without a decision point, as it locks.
     pub fn notify_one(&self) {
         let ctx = current();
-        ctx.schedule("condvar.notify_one");
+        if !std::thread::panicking() {
+            ctx.schedule("condvar.notify_one");
+        }
         let mut st = ctx.lock_state();
         let n = self.with_meta(|meta| meta.waiters.len());
         if n == 0 {
@@ -261,9 +289,12 @@ impl Condvar {
     }
 
     /// Wakes every waiter (they re-contend for the mutex when scheduled).
+    /// An unwinding thread notifies without a decision point, as it locks.
     pub fn notify_all(&self) {
         let ctx = current();
-        ctx.schedule("condvar.notify_all");
+        if !std::thread::panicking() {
+            ctx.schedule("condvar.notify_all");
+        }
         let mut st = ctx.lock_state();
         self.with_meta(|meta| {
             for w in meta.waiters.drain(..) {

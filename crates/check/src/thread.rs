@@ -84,13 +84,23 @@ impl<T> std::fmt::Debug for JoinHandle<T> {
 
 impl<T> JoinHandle<T> {
     /// Waits for the simulated thread to finish and returns its result —
-    /// `Err(payload)` if it panicked, as with `std`.
+    /// `Err(payload)` if it panicked, as with `std`. An unwinding thread
+    /// joins without a decision point, as it locks: a target still
+    /// running fails the execution as a panic and finishes by unwinding.
     pub fn join(self) -> std::thread::Result<T> {
         let ctx = current();
         debug_assert!(
             Arc::ptr_eq(&ctx.exec, &self.exec),
             "joined a thread from a different execution"
         );
+        if std::thread::panicking() {
+            let mut st = ctx.lock_state();
+            if st.threads[self.tid].status != Status::Finished {
+                ctx.fail_unwinding(&mut st, format!("joins t{}, still running", self.tid));
+            }
+            drop(st);
+            return self.handle.join();
+        }
         ctx.schedule("thread.join");
         let st = ctx.lock_state();
         if st.aborting {

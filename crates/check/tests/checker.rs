@@ -305,3 +305,95 @@ fn model_panics_on_failure() {
     });
     assert!(result.is_err(), "model() should panic on a deadlocking model");
 }
+
+/// Stops a helper thread in `Drop` the way `Server::drop` stops its
+/// batcher: a flag set under a checked mutex, a notify of the condvar the
+/// helper waits on, and a join.
+struct Stopper {
+    state: Arc<(Mutex<bool>, Condvar)>,
+    helper: Option<trq_check::thread::JoinHandle<()>>,
+}
+
+impl Stopper {
+    fn start() -> Stopper {
+        let state = Arc::new((Mutex::new(false), Condvar::new()));
+        let s2 = Arc::clone(&state);
+        let helper = trq_check::thread::spawn(move || {
+            let (stop, cv) = &*s2;
+            let mut stopped = stop.lock().unwrap();
+            while !*stopped {
+                stopped = cv.wait(stopped).unwrap();
+            }
+        });
+        Stopper { state, helper: Some(helper) }
+    }
+}
+
+impl Drop for Stopper {
+    fn drop(&mut self) {
+        let (stop, cv) = &*self.state;
+        *stop.lock().unwrap() = true;
+        cv.notify_all();
+        if let Some(helper) = self.helper.take() {
+            let _ = helper.join();
+        }
+    }
+}
+
+/// A spawned thread's failed assertion tears the execution down, and
+/// another thread unwinds out of it through a `Stopper`. Its lock, notify
+/// and join must not panic a second time (which aborts the whole test
+/// binary): the assertion is reported as the failure.
+#[test]
+fn stopper_unwinding_through_teardown_reports_the_panic() {
+    let report = explore(Config::default(), || {
+        let _stopper = Stopper::start();
+        let t = trq_check::thread::spawn(|| assert_eq!(1 + 1, 3, "seeded failure"));
+        let _ = t.join();
+    });
+    let failure = report.failure.expect("seeded assertion was NOT caught");
+    match failure.kind {
+        FailureKind::Panic(msg) => assert!(msg.contains("seeded failure"), "{msg}"),
+        other => panic!("expected panic, got: {other}"),
+    }
+}
+
+/// The panicking thread's own unwind stops a helper that is still
+/// running: it cannot wait for it at a decision point, so the execution
+/// fails as a panic, reported with the panic's message, and the helper
+/// unwinds.
+#[test]
+fn stopper_in_a_panicking_thread_reports_the_panic() {
+    let report = explore(Config::default(), || {
+        let t = trq_check::thread::spawn(|| {
+            let _stopper = Stopper::start();
+            panic!("seeded failure");
+        });
+        let _ = t.join();
+    });
+    let failure = report.failure.expect("seeded panic was NOT caught");
+    match failure.kind {
+        FailureKind::Panic(msg) => assert!(msg.contains("(seeded failure)"), "{msg}"),
+        other => panic!("expected panic, got: {other}"),
+    }
+}
+
+/// The panicking thread's own unwind locks a mutex another thread holds:
+/// the execution fails as a panic, and the holder unwinds and releases
+/// the lock.
+#[test]
+fn lock_held_elsewhere_in_a_panicking_thread_reports_the_panic() {
+    let report = explore(Config::default(), || {
+        let state = Arc::new((Mutex::new(false), Condvar::new()));
+        let guard = state.0.lock().unwrap();
+        let s2 = Arc::clone(&state);
+        let t = trq_check::thread::spawn(move || {
+            let _stopper = Stopper { state: s2, helper: None };
+            panic!("seeded failure");
+        });
+        let _ = t.join();
+        drop(guard);
+    });
+    let failure = report.failure.expect("seeded panic was NOT caught");
+    assert!(matches!(failure.kind, FailureKind::Panic(_)), "expected panic, got: {}", failure.kind);
+}

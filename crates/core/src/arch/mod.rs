@@ -12,6 +12,12 @@ pub use trq_xbar::{
     KernelTier, KERNEL_ENV,
 };
 
+/// The most worker threads an engine runs tiles on. Thread count never
+/// changes results, so an explicit count past this is capped rather than
+/// honoured: a configuration (or a restored snapshot) asking for 10⁶
+/// threads must not make the pool spawn them.
+pub const MAX_THREADS: usize = 64;
+
 /// Host-side execution strategy for the simulated MVM datapath: how the
 /// engine tiles a layer's work and how many worker threads run the tiles.
 ///
@@ -32,7 +38,8 @@ pub use trq_xbar::{
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ExecConfig {
     /// Worker threads for tile execution. `0` auto-detects from the host
-    /// (capped at 8); `1` runs tiles serially on the calling thread.
+    /// (capped at 8); `1` runs tiles serially on the calling thread;
+    /// counts past [`MAX_THREADS`] run [`MAX_THREADS`] threads.
     pub threads: usize,
     /// Output channels per tile. `0` picks the default of 16 channels —
     /// with 8-bit weights that is 128 bit lines, one physical crossbar.
@@ -114,12 +121,12 @@ impl ExecConfig {
         self
     }
 
-    /// The worker count after auto-detection.
+    /// The worker count after auto-detection, at most [`MAX_THREADS`].
     pub fn effective_threads(&self) -> usize {
         if self.threads == 0 {
             std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1).min(8)
         } else {
-            self.threads
+            self.threads.min(MAX_THREADS)
         }
     }
 
@@ -300,5 +307,12 @@ mod tests {
         let e = ExecConfig::serial().with_threads(0);
         let t = e.effective_threads();
         assert!((1..=8).contains(&t), "auto thread count in [1, 8]: {t}");
+    }
+
+    #[test]
+    fn explicit_threads_are_capped() {
+        let e = ExecConfig::serial().with_threads(1_000_000);
+        assert_eq!(e.effective_threads(), MAX_THREADS);
+        assert_eq!(e.with_threads(MAX_THREADS).effective_threads(), MAX_THREADS);
     }
 }

@@ -27,7 +27,7 @@
 //!      the ADC digitises the noisy current;
 //!    - **decode** — `trq_xbar::decode_diff_tile_into`: every count
 //!      through the packed LUT and shift-added into the tile accumulator,
-//!      with the ops / `max_count` ledger. On AVX-512, eligible layers
+//!      returning the A/D operations spent. On AVX-512, eligible layers
 //!      (arrays of at most 128 rows whose output rows fit an `i32`; the
 //!      paper's 128-row arrays qualify) decode 16 windows of an output
 //!      row at a time from a LUT held in vector registers; every other
@@ -176,16 +176,12 @@ impl Tile {
 struct TileEvents {
     ops: u64,
     conversions: u64,
-    max_count: u32,
-    max_abs_acc: i64,
 }
 
 impl TileEvents {
     fn merge(&mut self, other: &TileEvents) {
         self.ops += other.ops;
         self.conversions += other.conversions;
-        self.max_count = self.max_count.max(other.max_count);
-        self.max_abs_acc = self.max_abs_acc.max(other.max_abs_acc);
     }
 }
 
@@ -294,15 +290,15 @@ impl Round<'_> {
 ///    on its absolute (subarray, side, plane, column, window) slot, so
 ///    the result is independent of tiling and thread count;
 /// 4. **decode** — one call of the conversion decode primitive, which
-///    digitises every count through the layer's packed LUT and
+///    digitises every count through the layer's packed LUT,
 ///    shift-adds it into the tile-local accumulator `acc` (length
-///    `tile.len()`, zeroed by the caller);
+///    `tile.len()`, zeroed by the caller) and returns the A/D operations
+///    that go into `events`.
 ///
-/// then the tile's `max_abs_acc` goes into `events`. Kernel and decode
-/// run on the engine's resolved [`KernelTier`]: on AVX-512 the decode of
-/// register-eligible layers reads the LUT from vector registers, 16
-/// windows at a time; every other tier and layer walks the rows' live
-/// window runs. All paths are bit-identical.
+/// Kernel and decode run on the engine's resolved [`KernelTier`]: on
+/// AVX-512 the decode of register-eligible layers reads the LUT from
+/// vector registers, 16 windows at a time; every other tier and layer
+/// walks the rows' live window runs. All paths are bit-identical.
 ///
 /// Sparsity-aware skipping: all-zero input bit-planes, dead window
 /// *blocks* inside live planes (both from the subarray's [`WindowOcc`]),
@@ -364,7 +360,7 @@ fn execute_tile(
                 }
             }
         }
-        let tally = decode_diff_tile_into(
+        events.ops += decode_diff_tile_into(
             round.tier,
             prog.lut.table(),
             &round.occ[s],
@@ -376,12 +372,7 @@ fn execute_tile(
             &scratch.counts_neg,
             acc,
         );
-        events.ops += tally.ops;
-        events.max_count = events.max_count.max(tally.max_count);
         events.conversions += 2 * volume as u64;
-    }
-    for &v in acc.iter() {
-        events.max_abs_acc = events.max_abs_acc.max(v.abs());
     }
 }
 
@@ -417,8 +408,6 @@ pub struct PimMvm {
     /// The execution kernel tier, resolved once at construction from
     /// [`crate::arch::ExecConfig::kernel`] and the `TRQ_KERNEL` override.
     tier: KernelTier,
-    /// The executor tile rounds dispatch to (process-global by default).
-    pool: &'static Pool,
     /// Tile list of the current call, capacity reused across calls.
     tiles: Vec<Tile>,
     /// Layer accumulator, capacity reused across calls.
@@ -434,8 +423,7 @@ impl PimMvm {
     /// The engine owns its architecture (`ArchConfig` is `Copy`), so
     /// handles built on top of it — models, registries, servers — carry
     /// no borrow. Tile rounds dispatch to the process-wide
-    /// [`Pool::global`]; use [`PimMvm::with_pool`] to share a dedicated
-    /// long-lived pool instead.
+    /// [`Pool::global`].
     ///
     /// The execution kernel tier is resolved **here**, once, from
     /// [`crate::arch::ExecConfig::kernel`] and the `TRQ_KERNEL`
@@ -453,8 +441,8 @@ impl PimMvm {
     /// Fallible form of [`PimMvm::new`]: resolves the execution kernel
     /// tier and returns a typed [`KernelConfigError`] instead of
     /// panicking when the selection names a tier this host cannot run
-    /// (`TRQ_KERNEL=simd` without AVX2/AVX-512/NEON) or an unrecognised
-    /// override string. `KernelSelect::Auto` never fails — it degrades to
+    /// (`TRQ_KERNEL=avx512` without AVX-512) or an unrecognised override
+    /// string. `KernelSelect::Auto` never fails — it degrades to
     /// the scalar tier.
     pub fn try_new(arch: ArchConfig, plan: Vec<AdcScheme>) -> Result<Self, KernelConfigError> {
         let tier = resolve_kernel(arch.exec.kernel)?;
@@ -470,7 +458,6 @@ impl PimMvm {
             planes: Vec::new(),
             occ: Vec::new(),
             tier,
-            pool: Pool::global(),
             tiles: Vec::new(),
             acc: Vec::new(),
             arenas: Vec::new(),
@@ -482,15 +469,6 @@ impl PimMvm {
     #[must_use]
     pub fn kernel_tier(&self) -> KernelTier {
         self.tier
-    }
-
-    /// Builder: dispatches this engine's tile rounds to `pool` instead of
-    /// the process-wide pool (the pool must outlive the process's use of
-    /// the engine, matching [`Pool::global`]'s lifetime).
-    #[must_use]
-    pub fn with_pool(mut self, pool: &'static Pool) -> Self {
-        self.pool = pool;
-        self
     }
 
     /// Builder: emulates device non-idealities on this engine.
@@ -901,7 +879,7 @@ impl MvmEngine for PimMvm {
                 arena.done.push((t, offset));
             }
         };
-        self.pool.run(threads, &worker);
+        Pool::global().run(threads, &worker);
 
         // ── account ───────────────────────────────────────────────────
         let mut events = TileEvents::default();
@@ -941,8 +919,6 @@ impl MvmEngine for PimMvm {
         layer.buffer_bytes += (info.depth * n) as u64 + (info.outputs * n * 2) as u64;
         layer.sa_ops += events.conversions;
         layer.bus_bytes += (info.outputs * n) as u64;
-        layer.max_count = layer.max_count.max(events.max_count);
-        layer.max_abs_acc = layer.max_abs_acc.max(events.max_abs_acc);
         self.stats.baseline_ops += events.conversions * self.arch.adc_bits as u64;
 
         for (o, &v) in out.iter_mut().zip(self.acc.iter()) {
@@ -958,7 +934,7 @@ impl MvmEngine for PimMvm {
         while self.arenas.len() < threads {
             self.arenas.push(Mutex::new(WorkerArena::default()));
         }
-        self.pool.warm(threads);
+        Pool::global().warm(threads);
     }
 }
 

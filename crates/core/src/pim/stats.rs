@@ -24,10 +24,6 @@ pub struct LayerStats {
     pub sa_ops: u64,
     /// Inter-tile bus/router traffic in bytes.
     pub bus_bytes: u64,
-    /// Largest BL count observed (distribution sanity).
-    pub max_count: u32,
-    /// Largest |accumulator| observed in LSB units (register sizing).
-    pub max_abs_acc: i64,
 }
 
 impl LayerStats {
@@ -41,8 +37,6 @@ impl LayerStats {
         self.buffer_bytes += other.buffer_bytes;
         self.sa_ops += other.sa_ops;
         self.bus_bytes += other.bus_bytes;
-        self.max_count = self.max_count.max(other.max_count);
-        self.max_abs_acc = self.max_abs_acc.max(other.max_abs_acc);
     }
 }
 

@@ -6,9 +6,8 @@
 //! plane/column/window-block skipping, and the dense tiles that carry the
 //! calibration tally and count noise — must be **bit-identical** to the
 //! scalar reference engine in `reference/mod.rs`: output values, the
-//! ledger fields the tile datapath owns (ops, conversions, max count, max
-//! accumulator), and the collected bit-line count histograms, across
-//! thread counts and tilings.
+//! ledger fields the tile datapath owns (ops and conversions), and the
+//! collected bit-line count histograms, across thread counts and tilings.
 //!
 //! The thread count for the multi-threaded runs follows `TRQ_THREADS`
 //! (default 4), so CI can pin e.g. `TRQ_THREADS=2` to exercise the

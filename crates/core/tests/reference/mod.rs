@@ -22,19 +22,12 @@ use trq_xbar::{BitMatrix, DecodeTable, NoiseModel};
 pub struct Ledger {
     pub ops: u64,
     pub conversions: u64,
-    pub max_count: u32,
-    pub max_abs_acc: i64,
 }
 
 impl Ledger {
     /// The same fields of an engine layer's statistics.
     pub fn of(stats: &LayerStats) -> Self {
-        Ledger {
-            ops: stats.ops,
-            conversions: stats.conversions,
-            max_count: stats.max_count,
-            max_abs_acc: stats.max_abs_acc,
-        }
+        Ledger { ops: stats.ops, conversions: stats.conversions }
     }
 }
 
@@ -143,7 +136,6 @@ impl MvmEngine for ReferenceMvm {
                             cn = noise.perturb(s, 1, p, c, w, cn);
                         }
                         let (ep, en) = (entry(cp), entry(cn));
-                        ledger.max_count = ledger.max_count.max(cp).max(cn);
                         ledger.ops += u64::from(ep >> DecodeTable::OPS_SHIFT)
                             + u64::from(en >> DecodeTable::OPS_SHIFT);
                         let lp = i64::from(ep & DecodeTable::LSB_MASK);
@@ -154,7 +146,6 @@ impl MvmEngine for ReferenceMvm {
             }
             ledger.conversions += 2 * volume as u64;
         }
-        ledger.max_abs_acc = acc.iter().map(|v| v.abs()).max().unwrap_or(0);
         for (o, &v) in out.iter_mut().zip(&acc) {
             *o = v as f64 * state.lut_delta;
         }
@@ -162,8 +153,6 @@ impl MvmEngine for ReferenceMvm {
         let total = self.ledgers.entry(info.mvm_index).or_default();
         total.ops += ledger.ops;
         total.conversions += ledger.conversions;
-        total.max_count = total.max_count.max(ledger.max_count);
-        total.max_abs_acc = total.max_abs_acc.max(ledger.max_abs_acc);
         let total = self.hists.entry(info.mvm_index).or_insert_with(|| vec![0; rows + 1]);
         for (t, h) in total.iter_mut().zip(hist) {
             *t += h;

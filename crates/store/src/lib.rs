@@ -28,7 +28,8 @@
 //! unknown version, truncated payload, checksum mismatch, undecodable or
 //! inconsistent payload. Decoding and restoring never panic on hostile
 //! bytes, and restore refuses any snapshot whose programmed arrays would
-//! take more than [`MAX_PROGRAMMED_BYTES`] before allocating them.
+//! take more than [`MAX_PROGRAMMED_BYTES`] before allocating them, or
+//! whose engine would run more than [`MAX_THREADS`] threads.
 //! Payloads written while snapshots still carried a `programming` array
 //! decode as before: the decoder skips the field.
 //!
@@ -55,7 +56,7 @@
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::path::{Path, PathBuf};
-use trq_core::arch::ArchConfig;
+use trq_core::arch::{ArchConfig, MAX_THREADS};
 use trq_core::pim::{AdcScheme, PimMvm};
 use trq_nn::QuantizedNetwork;
 
@@ -242,8 +243,9 @@ impl ModelSnapshot {
     /// Returns [`StoreError::Invalid`], before programming allocates
     /// anything, when:
     /// - the architecture's crossbar geometry fails its `validate`, its
-    ///   weight or input bits lie outside `1..=8`, or it selects a kernel
-    ///   tier this host cannot run;
+    ///   weight or input bits lie outside `1..=8`, it asks for more than
+    ///   [`MAX_THREADS`] engine threads, or it selects a kernel tier this
+    ///   host cannot run;
     /// - the plan does not name one scheme per layer, or a scheme fails
     ///   [`AdcScheme::validate`];
     /// - a layer's index is not its position, or its weight codes do not
@@ -260,6 +262,12 @@ impl ModelSnapshot {
             if !(1..=8).contains(&bits) {
                 return invalid(format!("{what} bits {bits} not in 1..=8"));
             }
+        }
+        if arch.exec.threads > MAX_THREADS {
+            return invalid(format!(
+                "{} engine threads exceed the bound of {MAX_THREADS}",
+                arch.exec.threads
+            ));
         }
         let layers = self.qnet.layers();
         if self.plan.len() != layers.len() {

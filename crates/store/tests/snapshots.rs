@@ -12,7 +12,7 @@
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use trq_core::arch::{ArchConfig, ExecConfig};
+use trq_core::arch::{ArchConfig, ExecConfig, MAX_THREADS};
 use trq_core::pim::{AdcScheme, PimMvm, PimStats};
 use trq_nn::QuantizedNetwork;
 use trq_quant::TrqParams;
@@ -257,6 +257,20 @@ fn bad_architecture_is_rejected() {
     assert_invalid(&with(|a| a.weight_bits = 0), "weight bits 0");
     assert_invalid(&with(|a| a.weight_bits = 9), "weight bits 9");
     assert_invalid(&with(|a| a.input_bits = 40), "input bits 40");
+}
+
+#[test]
+fn thread_count_past_the_bound_is_rejected() {
+    // a hostile payload asking for 10⁶ engine threads: refused by the
+    // checks, before an engine exists that could spawn them
+    let (_, snapshot) = small_snapshot();
+    assert_eq!(snapshot.arch.exec.threads, 1);
+    let hostile = doctored(&snapshot, "\"threads\":1,", "\"threads\":1000000,");
+    assert_eq!(hostile.arch.exec.threads, 1_000_000);
+    assert_invalid(&hostile, "threads");
+    let mut at_bound = snapshot.clone();
+    at_bound.arch.exec.threads = MAX_THREADS;
+    assert!(at_bound.restore().is_ok(), "{MAX_THREADS} threads restore");
 }
 
 #[test]

@@ -5,8 +5,8 @@
 //! (paper §III-D, Fig. 4b): the packed conversion entry of the count gives
 //! the reconstructed magnitude (LSB units) and the A/D operations the
 //! conversion cost. [`decode_diff_tile_into`] folds one subarray's
-//! differential counts into an `i64` tile accumulator and tallies the ops
-//! and `max_count` ledger, in one of two bit-identical ways:
+//! differential counts into an `i64` tile accumulator and returns the A/D
+//! operations they cost, in one of two bit-identical ways:
 //!
 //! - **segment walk** (the scalar, AVX2 and NEON tiers, and tables the
 //!   register path does not take) — per row, the window range is walked
@@ -120,28 +120,17 @@ impl DecodeTable {
     }
 }
 
-/// The ledger one decode call adds: A/D operations over every conversion
-/// of the tile (skipped slots at the count-0 cost) and the largest count
-/// seen.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DecodeTally {
-    /// A/D operations spent.
-    pub ops: u64,
-    /// Largest bit-line count decoded.
-    pub max_count: u32,
-}
-
 /// Decodes one subarray's differential tile counts into a tile
 /// accumulator: for output `o`, slice `α` and plane `p`, adds
 /// `(lsb(pos) − lsb(neg)) << (α + p)` into `acc[o · nw + w]`, and returns
-/// the call's ops and `max_count` ledger.
+/// the A/D operations of every conversion of the tile.
 ///
 /// `counts_pos` / `counts_neg` hold [`super::mvm_diff_tile_into`]'s output
 /// for the same `occ`, masks, `cols` and `windows`: layout
 /// `[plane][c − cols.start][w − windows.start]` with `table.planes()`
 /// planes. Slots that kernel skipped (dead plane, dead window block, dead
 /// column on that side) are never read — they decode as count 0 and cost
-/// entry 0's ops, so the ledger equals a dense decode of every slot.
+/// entry 0's ops, so the returned ops equal a dense decode of every slot.
 /// `cols` covers whole outputs (`table.slices()` columns each, starting
 /// on an output boundary) and `acc` is `[output][window]`, `nw` windows
 /// wide.
@@ -154,9 +143,10 @@ pub struct DecodeTally {
 /// Panics when `cols` is not a whole number of outputs, a buffer is
 /// shorter than the tile, `occ` does not cover the planes and windows, a
 /// mask does not cover `cols`, or the host lacks `tier`'s CPU features.
-/// A live count beyond the table panics in the segment walk; the register
-/// table cannot read out of bounds (it indexes registers, not memory) and
-/// checks it in debug builds only.
+/// A live count beyond the table — a slot the kernel left unwritten —
+/// panics in the segment walk; the register table cannot read out of
+/// bounds (it indexes registers, not memory) and checks it in debug builds
+/// only.
 // no_alloc: the decode runs once per subarray of every tile
 #[allow(clippy::too_many_arguments)]
 pub fn decode_diff_tile_into(
@@ -170,7 +160,7 @@ pub fn decode_diff_tile_into(
     counts_pos: &[u32],
     counts_neg: &[u32],
     acc: &mut [i64],
-) -> DecodeTally {
+) -> u64 {
     let (planes, slices) = (table.planes, table.slices);
     assert!(cols.start <= cols.end && windows.start <= windows.end, "decode range reversed");
     let (nc, nw) = (cols.end - cols.start, windows.end - windows.start);
@@ -193,9 +183,9 @@ pub fn decode_diff_tile_into(
         cpu_feature_summary()
     );
     if planes * nc * nw == 0 {
-        return DecodeTally::default();
+        return 0;
     }
-    let tally = match tier {
+    match tier {
         #[cfg(target_arch = "x86_64")]
         KernelTier::Avx512 if table.register_eligible() => super::simd::decode_registers_avx512(
             table, occ, pos_live, neg_live, cols, windows, counts_pos, counts_neg, acc,
@@ -203,9 +193,7 @@ pub fn decode_diff_tile_into(
         _ => decode_segments(
             table, occ, pos_live, neg_live, cols, windows, counts_pos, counts_neg, acc,
         ),
-    };
-    debug_assert!(tally.max_count as usize <= table.rows(), "kernel must write every live slot");
-    tally
+    }
 }
 
 /// The segment-walking decode: per (plane, slice) row, the tile's window
@@ -224,7 +212,7 @@ fn decode_segments(
     counts_pos: &[u32],
     counts_neg: &[u32],
     acc: &mut [i64],
-) -> DecodeTally {
+) -> u64 {
     const OPS: u32 = DecodeTable::OPS_SHIFT;
     const LSB: u32 = DecodeTable::LSB_MASK;
     let (planes, slices) = (table.planes, table.slices);
@@ -232,7 +220,7 @@ fn decode_segments(
     let entries = table.entries();
     let ops0 = u64::from(entries[0] >> OPS);
     let lsb0 = i64::from(entries[0] & LSB);
-    let mut tally = DecodeTally::default();
+    let mut ops = 0;
     for p in 0..planes {
         let plane_dead = !occ.plane_live(p);
         // fully-live rows (the dense common case) skip segmentation
@@ -245,14 +233,14 @@ fn decode_segments(
             if plane_dead || (!pl && !nl) {
                 // every count of the row is 0: the decoded difference is
                 // exactly 0 and each conversion costs `ops0`
-                tally.ops += 2 * ops0 * nw as u64;
+                ops += 2 * ops0 * nw as u64;
                 continue;
             }
             let base = (p * nc + oc) * nw;
             let arow = &mut acc[o * nw..(o + 1) * nw];
             // the dead side of a single-sided row reads count 0 everywhere
             if pl != nl {
-                tally.ops += ops0 * nw as u64;
+                ops += ops0 * nw as u64;
             }
             let mut w = windows.start;
             while w < windows.end {
@@ -262,7 +250,7 @@ fn decode_segments(
                 w = we;
                 if !seg_live {
                     let sides = if pl && nl { 2 } else { 1 };
-                    tally.ops += sides * ops0 * len as u64;
+                    ops += sides * ops0 * len as u64;
                     continue;
                 }
                 let aseg = &mut arow[lo..lo + len];
@@ -271,25 +259,22 @@ fn decode_segments(
                 match (pl, nl) {
                     (true, true) => {
                         for ((a, &cp), &cn) in aseg.iter_mut().zip(cps).zip(cns) {
-                            tally.max_count = tally.max_count.max(cp).max(cn);
                             let (ep, en) = (entries[cp as usize], entries[cn as usize]);
-                            tally.ops += u64::from((ep >> OPS) + (en >> OPS));
+                            ops += u64::from((ep >> OPS) + (en >> OPS));
                             *a += (i64::from(ep & LSB) - i64::from(en & LSB)) << shift;
                         }
                     }
                     (true, false) => {
                         for (a, &cp) in aseg.iter_mut().zip(cps) {
-                            tally.max_count = tally.max_count.max(cp);
                             let ep = entries[cp as usize];
-                            tally.ops += u64::from(ep >> OPS);
+                            ops += u64::from(ep >> OPS);
                             *a += (i64::from(ep & LSB) - lsb0) << shift;
                         }
                     }
                     (false, true) => {
                         for (a, &cn) in aseg.iter_mut().zip(cns) {
-                            tally.max_count = tally.max_count.max(cn);
                             let en = entries[cn as usize];
-                            tally.ops += u64::from(en >> OPS);
+                            ops += u64::from(en >> OPS);
                             *a += (lsb0 - i64::from(en & LSB)) << shift;
                         }
                     }
@@ -298,7 +283,7 @@ fn decode_segments(
             }
         }
     }
-    tally
+    ops
 }
 
 #[cfg(test)]
@@ -410,20 +395,60 @@ mod tests {
             let start: Vec<i64> = (0..outputs * nw).map(|_| next(1000) as i64 - 500).collect();
 
             let mut want = start.clone();
-            let want_tally = decode_diff_tile_into(
+            let want_ops = decode_diff_tile_into(
                 KernelTier::Scalar, &table, &occ, &pos_live, &neg_live,
                 cols.clone(), windows.clone(), &counts_pos, &counts_neg, &mut want,
             );
             for tier in host_tiers() {
                 let mut got = start.clone();
-                let tally = decode_diff_tile_into(
+                let ops = decode_diff_tile_into(
                     tier, &table, &occ, &pos_live, &neg_live,
                     cols.clone(), windows.clone(), &counts_pos, &counts_neg, &mut got,
                 );
                 prop_assert_eq!(&got, &want, "sums diverged on tier {}", tier.name());
-                prop_assert_eq!(tally, want_tally, "ledger diverged on tier {}", tier.name());
+                prop_assert_eq!(ops, want_ops, "ops diverged on tier {}", tier.name());
             }
         }
+    }
+
+    /// Debug builds catch a live count past the table on the register
+    /// decode, which cannot fault on it (the segment walk's index check
+    /// catches it in every build).
+    #[cfg(debug_assertions)]
+    #[test]
+    fn register_decode_rejects_a_live_count_past_the_table() {
+        if !KernelTier::Avx512.available() {
+            return;
+        }
+        let (rows, planes, slices, nw) = (128usize, 2, 2, 20);
+        let table = DecodeTable::new(vec![1 << DecodeTable::OPS_SHIFT; rows + 1], planes, slices);
+        assert!(table.register_eligible());
+        let occ = WindowOcc::all_live(planes, nw);
+        let live = ColMask::all_live(slices);
+        let mut counts = vec![rows as u32; planes * slices * nw];
+        counts[planes * slices * nw - 1] = rows as u32 + 1;
+        let mut acc = vec![0i64; nw];
+        let decode = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            decode_diff_tile_into(
+                KernelTier::Avx512,
+                &table,
+                &occ,
+                &live,
+                &live,
+                0..slices,
+                0..nw,
+                &counts,
+                &counts,
+                &mut acc,
+            )
+        }));
+        let payload = decode.expect_err("a count past the table must panic");
+        let msg = payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_default();
+        assert!(msg.contains("kernel must write every live slot"), "{msg}");
     }
 
     #[test]

@@ -54,10 +54,10 @@ mod decode;
 mod simd;
 
 pub(crate) use decode::REGISTER_TABLE_ENTRIES;
-pub use decode::{decode_diff_tile_into, DecodeTable, DecodeTally};
+pub use decode::{decode_diff_tile_into, DecodeTable};
 pub use simd::{
-    and_popcount_words_tier, cpu_feature_summary, popcount_words_tier, resolve_kernel,
-    resolve_kernel_with, KernelConfigError, KernelSelect, KernelTier, KERNEL_ENV,
+    cpu_feature_summary, resolve_kernel, resolve_kernel_with, KernelConfigError, KernelSelect,
+    KernelTier, KERNEL_ENV,
 };
 
 /// Carry-save adder: compresses three one-bit-per-lane addends into a
@@ -818,23 +818,54 @@ mod tests {
             prop_assert_eq!(popcount_words(&a), pop_naive);
         }
 
-        /// The tier-dispatched slice primitives must agree with the
-        /// scalar ones on every host tier and length.
+        /// Every host tier's dynamic-length row kernels — the tier's
+        /// word-slice `and_popcount` swept over each window — must agree
+        /// with the scalar slice primitive at every word length,
+        /// including the tails past each tier's vector step.
         #[test]
         fn tier_slice_primitives_match_scalar(len in 0usize..40, seed in 0u64..200) {
+            const WINDOWS: usize = 3;
             let mut next = lcg_bits(seed ^ 0x51D);
-            let a: Vec<u64> = (0..len).map(|_| next()).collect();
-            let b: Vec<u64> = (0..len).map(|_| next()).collect();
-            let want_and = and_popcount_words(&a, &b);
-            let want_pop = popcount_words(&a);
+            let ap: Vec<u64> = (0..len).map(|_| next()).collect();
+            let an: Vec<u64> = (0..len).map(|_| next()).collect();
+            let pw: Vec<u64> = (0..WINDOWS * len).map(|_| next()).collect();
+            let want = |a: &[u64]| -> Vec<u32> {
+                (0..WINDOWS)
+                    .map(|w| and_popcount_words(a, &pw[w * len..(w + 1) * len]))
+                    .collect()
+            };
+            let (want_p, want_n) = (want(&ap), want(&an));
             for tier in host_tiers() {
+                let mut got_p = vec![u32::MAX; WINDOWS];
+                let mut got_n = vec![u32::MAX; WINDOWS];
+                let mut got_single = vec![u32::MAX; WINDOWS];
+                fn run<R: RowKernels>(
+                    ap: &[u64],
+                    an: &[u64],
+                    pw: &[u64],
+                    wpc: usize,
+                    out: (&mut [u32], &mut [u32], &mut [u32]),
+                ) {
+                    R::diff_row::<0>(ap, an, pw, wpc, out.0, out.1);
+                    R::single_row::<0>(ap, pw, wpc, out.2);
+                }
+                let out = (&mut got_p[..], &mut got_n[..], &mut got_single[..]);
+                match tier {
+                    KernelTier::Scalar => run::<ScalarRows>(&ap, &an, &pw, len, out),
+                    #[cfg(target_arch = "x86_64")]
+                    KernelTier::Avx2 => run::<simd::Avx2Rows>(&ap, &an, &pw, len, out),
+                    #[cfg(target_arch = "x86_64")]
+                    KernelTier::Avx512 => run::<simd::Avx512Rows>(&ap, &an, &pw, len, out),
+                    #[cfg(target_arch = "aarch64")]
+                    KernelTier::Neon => run::<simd::NeonRows>(&ap, &an, &pw, len, out),
+                    #[allow(unreachable_patterns)]
+                    _ => unreachable!("host_tiers yields only available tiers"),
+                }
+                prop_assert_eq!(&got_p, &want_p, "pos diff row diverged on tier {}", tier.name());
+                prop_assert_eq!(&got_n, &want_n, "neg diff row diverged on tier {}", tier.name());
                 prop_assert_eq!(
-                    and_popcount_words_tier(tier, &a, &b), want_and,
-                    "and_popcount diverged on tier {}", tier.name()
-                );
-                prop_assert_eq!(
-                    popcount_words_tier(tier, &a), want_pop,
-                    "popcount diverged on tier {}", tier.name()
+                    &got_single, &want_p,
+                    "single row diverged on tier {}", tier.name()
                 );
             }
         }
@@ -844,18 +875,20 @@ mod tests {
         /// passes exactly on the slots it writes, and skip exactly the
         /// dead-plane / dead-column / dead-block slots — including ragged
         /// row counts (`rows % 64 != 0`) and ragged window counts
-        /// against the 4-window block size.
+        /// against the 4-window block size. The 10-word generic height
+        /// runs every tier's `and_popcount` vector loop (8 words per
+        /// AVX-512 step, 4 per AVX2 step, 2 per NEON step) and its tail.
         #[test]
         fn fused_kernel_matches_scalar_reference(
-            rows_sel in 0usize..5,
+            rows_sel in 0usize..6,
             cols in 2usize..7,
             n in 1usize..11,
             n_planes in 1usize..5,
             blocky in proptest::bool::ANY,
             seed in 0u64..200,
         ) {
-            // wpc 1, 1 (ragged), 2 (paper default), 4, and 5 (generic)
-            let rows = [40, 64, 128, 250, 300][rows_sel];
+            // wpc 1, 1 (ragged), 2 (paper default), 4, 5 and 10 (generic)
+            let rows = [40, 64, 128, 250, 300, 600][rows_sel];
             // column 1 is dead on the positive side, column 2 on the
             // negative side, column 3 on both
             let pos = matrix(rows, cols, seed, |c| c == 1 || c == 3);

@@ -19,10 +19,10 @@
 //! [`KernelSelect`] *request* (`auto` by default), and the engine
 //! resolves it **once** at construction into a concrete [`KernelTier`]
 //! via [`resolve_kernel`] — runtime feature detection picks the widest
-//! available tier in `auto`/`simd` mode, and a forced tier the host
-//! cannot run is a typed [`KernelConfigError`], never a silent scalar
-//! fallback. The `TRQ_KERNEL` environment variable overrides the
-//! configured request so benches and CI can force either tier.
+//! available tier in `auto` mode, and a forced tier the host cannot run
+//! is a typed [`KernelConfigError`], never a silent scalar fallback. The
+//! `TRQ_KERNEL` environment variable overrides the configured request so
+//! benches and CI can force any tier.
 //!
 //! # Safety
 //!
@@ -30,11 +30,11 @@
 //! `unsafe_code = deny` lint (see the workspace `Cargo.toml`): every
 //! `unsafe` block here wraps `target_feature`-gated intrinsic calls and
 //! nothing else. Soundness argument: the only callers are the tier
-//! dispatchers ([`super::mvm_diff_tile_into`],
-//! [`and_popcount_words_tier`], [`popcount_words_tier`]), each of which
-//! asserts [`KernelTier::available`] — i.e. the live CPU reports the
-//! required features — before dispatching, so a feature-gated function
-//! is never entered on a host lacking its features. All loads and
+//! dispatchers ([`super::mvm_diff_tile_into`] and
+//! [`super::decode_diff_tile_into`]), each of which asserts
+//! [`KernelTier::available`] — i.e. the live CPU reports the required
+//! features — before dispatching, so a feature-gated function is never
+//! entered on a host lacking its features. All loads and
 //! stores are unaligned-tolerant (`loadu`/`storeu`) against slices whose
 //! bounds the safe callers have already established.
 
@@ -42,7 +42,7 @@ use serde::{Deserialize, Serialize};
 
 use super::RowKernels;
 #[cfg(target_arch = "x86_64")]
-use super::{ColMask, DecodeTable, DecodeTally, WindowOcc, REGISTER_TABLE_ENTRIES};
+use super::{ColMask, DecodeTable, WindowOcc, REGISTER_TABLE_ENTRIES};
 #[cfg(target_arch = "x86_64")]
 use std::ops::Range;
 
@@ -57,10 +57,6 @@ pub enum KernelSelect {
     Auto,
     /// Force the portable scalar paths.
     Scalar,
-    /// Require *some* SIMD tier (the widest available); hosts with no
-    /// vector extension are a configuration error, not a silent scalar
-    /// fallback.
-    Simd,
     /// Require the AVX2 nibble-LUT tier specifically.
     Avx2,
     /// Require the AVX-512 `vpopcntq` tier specifically.
@@ -75,7 +71,6 @@ impl KernelSelect {
         match self {
             KernelSelect::Auto => "auto",
             KernelSelect::Scalar => "scalar",
-            KernelSelect::Simd => "simd",
             KernelSelect::Avx2 => "avx2",
             KernelSelect::Avx512 => "avx512",
             KernelSelect::Neon => "neon",
@@ -86,7 +81,6 @@ impl KernelSelect {
         match s.to_ascii_lowercase().as_str() {
             "auto" => Ok(KernelSelect::Auto),
             "scalar" => Ok(KernelSelect::Scalar),
-            "simd" => Ok(KernelSelect::Simd),
             "avx2" => Ok(KernelSelect::Avx2),
             "avx512" => Ok(KernelSelect::Avx512),
             "neon" => Ok(KernelSelect::Neon),
@@ -154,14 +148,14 @@ impl KernelTier {
 }
 
 /// A kernel selection the host cannot honour. Returned by
-/// [`resolve_kernel`] so a forced `TRQ_KERNEL=simd` on a scalar-only host
-/// fails loudly instead of quietly running the wrong tier.
+/// [`resolve_kernel`] so a forced `TRQ_KERNEL=avx512` on a host without
+/// AVX-512 fails loudly instead of quietly running the wrong tier.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum KernelConfigError {
-    /// A specific tier (or `simd`) was requested but the host CPU lacks
-    /// the features to run any matching tier.
+    /// A specific tier was requested but the host CPU lacks the features
+    /// to run it.
     Unavailable {
-        /// The requested selection's name (`simd`, `avx2`, …).
+        /// The requested selection's name (`avx2`, `avx512`, …).
         requested: &'static str,
         /// The host's detected feature summary at resolution time.
         host: String,
@@ -181,7 +175,7 @@ impl std::fmt::Display for KernelConfigError {
             KernelConfigError::Unrecognized(s) => write!(
                 f,
                 "unrecognised kernel selection '{s}' \
-                 (expected auto | scalar | simd | avx2 | avx512 | neon)"
+                 (expected auto | scalar | avx2 | avx512 | neon)"
             ),
         }
     }
@@ -190,7 +184,7 @@ impl std::fmt::Display for KernelConfigError {
 impl std::error::Error for KernelConfigError {}
 
 /// The environment variable that overrides the configured
-/// [`KernelSelect`] (`TRQ_KERNEL=scalar|simd|auto|avx2|avx512|neon`).
+/// [`KernelSelect`] (`TRQ_KERNEL=auto|scalar|avx2|avx512|neon`).
 pub const KERNEL_ENV: &str = "TRQ_KERNEL";
 
 /// A comma-joined summary of the popcount-relevant CPU features the live
@@ -239,8 +233,8 @@ fn best_simd() -> Option<KernelTier> {
 /// as unset.
 ///
 /// `Auto` falls back to scalar on hosts with no vector extension; every
-/// *forced* selection (`simd`, `avx2`, `avx512`, `neon`) the host cannot
-/// honour is a typed [`KernelConfigError`] — never a silent fallback.
+/// *forced* tier (`avx2`, `avx512`, `neon`) the host cannot run is a
+/// typed [`KernelConfigError`] — never a silent fallback.
 pub fn resolve_kernel(select: KernelSelect) -> Result<KernelTier, KernelConfigError> {
     let env = std::env::var(KERNEL_ENV).ok();
     resolve_kernel_with(select, env.as_deref())
@@ -257,84 +251,19 @@ pub fn resolve_kernel_with(
         Some(s) => KernelSelect::parse(s)?,
         None => select,
     };
-    let unavailable = |requested: &'static str| KernelConfigError::Unavailable {
-        requested,
-        host: cpu_feature_summary(),
-    };
     let forced = |tier: KernelTier, requested: &'static str| {
         if tier.available() {
             Ok(tier)
         } else {
-            Err(unavailable(requested))
+            Err(KernelConfigError::Unavailable { requested, host: cpu_feature_summary() })
         }
     };
     match effective {
         KernelSelect::Scalar => Ok(KernelTier::Scalar),
         KernelSelect::Auto => Ok(best_simd().unwrap_or(KernelTier::Scalar)),
-        KernelSelect::Simd => best_simd().ok_or_else(|| unavailable("simd")),
         KernelSelect::Avx2 => forced(KernelTier::Avx2, "avx2"),
         KernelSelect::Avx512 => forced(KernelTier::Avx512, "avx512"),
         KernelSelect::Neon => forced(KernelTier::Neon, "neon"),
-    }
-}
-
-/// Tier-dispatched [`and_popcount_words`](super::and_popcount_words):
-/// `popcount(a & b)` using `tier`'s vector lanes (scalar-tailed), bit
-/// identical to the scalar primitive on every tier.
-///
-/// # Panics
-///
-/// Panics when the slice lengths differ or the host lacks `tier`'s CPU
-/// features.
-#[allow(unsafe_code)]
-pub fn and_popcount_words_tier(tier: KernelTier, a: &[u64], b: &[u64]) -> u32 {
-    assert_eq!(a.len(), b.len(), "word slice length mismatch");
-    assert!(
-        tier.available(),
-        "kernel tier {} forced on a host without its CPU features (host: {})",
-        tier.name(),
-        cpu_feature_summary()
-    );
-    match tier {
-        KernelTier::Scalar => super::and_popcount_words(a, b),
-        // SAFETY: `tier.available()` asserted above — the live CPU
-        // reports every feature the gated function enables.
-        #[cfg(target_arch = "x86_64")]
-        KernelTier::Avx2 => unsafe { avx2::and_popcount(a, b) },
-        #[cfg(target_arch = "x86_64")]
-        KernelTier::Avx512 => unsafe { avx512::and_popcount(a, b) },
-        #[cfg(target_arch = "aarch64")]
-        KernelTier::Neon => neon::and_popcount(a, b),
-        #[allow(unreachable_patterns)]
-        _ => unreachable!("tier availability checked above"),
-    }
-}
-
-/// Tier-dispatched [`popcount_words`](super::popcount_words).
-///
-/// # Panics
-///
-/// Panics when the host lacks `tier`'s CPU features.
-#[allow(unsafe_code)]
-pub fn popcount_words_tier(tier: KernelTier, a: &[u64]) -> u32 {
-    assert!(
-        tier.available(),
-        "kernel tier {} forced on a host without its CPU features (host: {})",
-        tier.name(),
-        cpu_feature_summary()
-    );
-    match tier {
-        KernelTier::Scalar => super::popcount_words(a),
-        // SAFETY: `tier.available()` asserted above — the live CPU
-        // reports every feature the gated function enables.
-        #[cfg(target_arch = "x86_64")]
-        KernelTier::Avx2 => unsafe { avx2::popcount(a) },
-        #[cfg(target_arch = "x86_64")]
-        KernelTier::Avx512 => unsafe { avx512::popcount(a) },
-        #[cfg(target_arch = "aarch64")]
-        KernelTier::Neon => neon::popcount(a),
-        #[allow(unreachable_patterns)]
-        _ => unreachable!("tier availability checked above"),
     }
 }
 
@@ -448,7 +377,7 @@ pub(super) fn decode_registers_avx512(
     counts_pos: &[u32],
     counts_neg: &[u32],
     acc: &mut [i64],
-) -> DecodeTally {
+) -> u64 {
     assert!(KernelTier::Avx512.available(), "register decode needs the AVX-512 tier");
     assert!(
         table.register_image().len() == REGISTER_TABLE_ENTRIES,
@@ -554,9 +483,8 @@ mod avx2 {
 
     // SAFETY: AVX2 is asserted by the dispatchers before entry. The
     // unaligned loads read `a[i..i+4]` / `b[i..i+4]` only while
-    // `i + 4 <= a.len()`, and every caller passes `b` at least as long
-    // as `a` (the dispatcher asserts equal lengths; the generic row
-    // kernels slice both operands to exactly `wpc` words).
+    // `i + 4 <= a.len()`, and the only callers, the generic row kernels,
+    // pass both operands as exactly `wpc` words.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn and_popcount(a: &[u64], b: &[u64]) -> u32 {
         unsafe {
@@ -572,28 +500,6 @@ mod avx2 {
             let mut total = hsum_epi64(acc);
             while i < n {
                 total += (a[i] & b[i]).count_ones();
-                i += 1;
-            }
-            total
-        }
-    }
-
-    // SAFETY: AVX2 is asserted by the dispatchers before entry; the
-    // unaligned loads read `a[i..i+4]` only while `i + 4 <= a.len()`.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn popcount(a: &[u64]) -> u32 {
-        unsafe {
-            let n = a.len();
-            let mut acc = _mm256_setzero_si256();
-            let mut i = 0;
-            while i + 4 <= n {
-                let va = _mm256_loadu_si256(a.as_ptr().add(i) as *const __m256i);
-                acc = _mm256_add_epi64(acc, sad_popcnt(va));
-                i += 4;
-            }
-            let mut total = hsum_epi64(acc);
-            while i < n {
-                total += a[i].count_ones();
                 i += 1;
             }
             total
@@ -841,7 +747,7 @@ mod avx2 {
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod avx512 {
-    use super::{ColMask, DecodeTable, DecodeTally, WindowOcc};
+    use super::{ColMask, DecodeTable, WindowOcc};
     use core::arch::x86_64::*;
     use std::ops::Range;
 
@@ -896,7 +802,7 @@ mod avx512 {
         counts_pos: &[u32],
         counts_neg: &[u32],
         acc: &mut [i64],
-    ) -> DecodeTally {
+    ) -> u64 {
         let (planes, slices) = (table.planes(), table.slices());
         let (nc, nw) = (cols.end - cols.start, windows.end - windows.start);
         let entries = table.entries();
@@ -920,7 +826,6 @@ mod avx512 {
         let top = _mm512_set1_epi32(entries[rows] as i32);
         let rows_v = _mm512_set1_epi32(rows as i32);
         let lsb_mask = _mm512_set1_epi32(DecodeTable::LSB_MASK as i32);
-        let mut vmax = _mm512_setzero_si512();
         let mut ops = 0u64;
         // window lane masks of the current chunk per plane; eligibility
         // caps planes at 31
@@ -969,7 +874,12 @@ mod avx512 {
                                 ),
                             )
                         };
-                        vmax = _mm512_max_epu32(vmax, _mm512_max_epu32(cp, cn));
+                        // a live count past the table is a slot the
+                        // kernel left unwritten; masked-off lanes read 0
+                        debug_assert!(
+                            _mm512_cmpgt_epu32_mask(_mm512_max_epu32(cp, cn), rows_v) == 0,
+                            "kernel must write every live slot"
+                        );
                         let ep = lookup(&t, top, rows_v, cp);
                         let en = lookup(&t, top, rows_v, cn);
                         ops32 = _mm512_add_epi32(
@@ -1015,7 +925,7 @@ mod avx512 {
             }
             off += 16;
         }
-        DecodeTally { ops, max_count: _mm512_reduce_max_epu32(vmax) }
+        ops
     }
 
     /// Sum of the 4 u64 lanes of a 256-bit vector.
@@ -1035,9 +945,9 @@ mod avx512 {
 
     // SAFETY: AVX-512 availability (all three features) is asserted by
     // the dispatchers before entry. The unaligned loads read
-    // `a[i..i+8]` / `b[i..i+8]` only while `i + 8 <= a.len()`, and every
-    // caller passes `b` at least as long as `a` (the dispatcher asserts
-    // equal lengths; the generic row kernels slice both to `wpc` words).
+    // `a[i..i+8]` / `b[i..i+8]` only while `i + 8 <= a.len()`, and the
+    // only callers, the generic row kernels, pass both operands as
+    // exactly `wpc` words.
     #[target_feature(enable = "avx512f,avx512vpopcntdq,avx512vl")]
     pub(super) unsafe fn and_popcount(a: &[u64], b: &[u64]) -> u32 {
         unsafe {
@@ -1055,30 +965,6 @@ mod avx512 {
             let mut total = hsum_epi64(folded);
             while i < n {
                 total += (a[i] & b[i]).count_ones();
-                i += 1;
-            }
-            total
-        }
-    }
-
-    // SAFETY: AVX-512 availability asserted by the dispatchers; the
-    // unaligned loads read `a[i..i+8]` only while `i + 8 <= a.len()`.
-    #[target_feature(enable = "avx512f,avx512vpopcntdq,avx512vl")]
-    pub(super) unsafe fn popcount(a: &[u64]) -> u32 {
-        unsafe {
-            let n = a.len();
-            let mut acc = _mm512_setzero_si512();
-            let mut i = 0;
-            while i + 8 <= n {
-                let va = _mm512_loadu_si512(a.as_ptr().add(i) as *const _);
-                acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(va));
-                i += 8;
-            }
-            let folded =
-                _mm256_add_epi64(_mm512_castsi512_si256(acc), _mm512_extracti64x4_epi64::<1>(acc));
-            let mut total = hsum_epi64(folded);
-            while i < n {
-                total += a[i].count_ones();
                 i += 1;
             }
             total
@@ -1337,27 +1223,6 @@ mod neon {
         }
         total
     }
-
-    /// `popcount` over a word slice.
-    #[inline]
-    pub(super) fn popcount(a: &[u64]) -> u32 {
-        let n = a.len();
-        let mut total = 0u32;
-        let mut i = 0;
-        // SAFETY: as for `and_popcount`.
-        unsafe {
-            while i + 2 <= n {
-                let va = vld1q_u64(a.as_ptr().add(i));
-                total += vaddlvq_u8(vcntq_u8(vreinterpretq_u8_u64(va))) as u32;
-                i += 2;
-            }
-        }
-        while i < n {
-            total += a[i].count_ones();
-            i += 1;
-        }
-        total
-    }
 }
 
 #[cfg(test)]
@@ -1371,7 +1236,7 @@ mod tests {
         // env overrides the configured selection
         assert_eq!(resolve_kernel_with(KernelSelect::Auto, Some("scalar")), Ok(KernelTier::Scalar));
         assert_eq!(
-            resolve_kernel_with(KernelSelect::Simd, Some("SCALAR")),
+            resolve_kernel_with(KernelSelect::Avx512, Some("SCALAR")),
             Ok(KernelTier::Scalar),
             "parsing is case-insensitive"
         );
@@ -1389,18 +1254,6 @@ mod tests {
     fn auto_resolves_to_an_available_tier() {
         let tier = resolve_kernel_with(KernelSelect::Auto, None).expect("auto never errors");
         assert!(tier.available(), "auto must resolve to a runnable tier");
-        // simd either matches auto's SIMD pick or errors out typed
-        match resolve_kernel_with(KernelSelect::Simd, None) {
-            Ok(t) => {
-                assert!(t.available());
-                assert_ne!(t, KernelTier::Scalar, "simd may not resolve to scalar");
-            }
-            Err(KernelConfigError::Unavailable { requested, .. }) => {
-                assert_eq!(requested, "simd");
-                assert_eq!(tier, KernelTier::Scalar, "no SIMD ⇒ auto fell back to scalar");
-            }
-            Err(e) => panic!("unexpected error kind: {e}"),
-        }
     }
 
     #[test]
@@ -1419,7 +1272,7 @@ mod tests {
         }
         // and the error renders a hint
         let msg =
-            KernelConfigError::Unavailable { requested: "simd", host: "none".into() }.to_string();
+            KernelConfigError::Unavailable { requested: "avx2", host: "none".into() }.to_string();
         assert!(msg.contains("TRQ_KERNEL=auto"));
     }
 

@@ -32,9 +32,12 @@
 //! - [`Crossbar`] and [`DiffPair`] — programmed arrays with optional device
 //!   non-idealities ([`NoiseModel`]), and [`noise::CountNoise`], the
 //!   keyed count-level surrogate the tiled engine in `trq-core` applies
-//!   between the popcount kernel and the decode;
-//! - [`Tia`] and [`SampleHold`] — the analog front-end between bit line and
-//!   ADC.
+//!   between the popcount kernel and the decode.
+//!
+//! The analog front end between bit line and ADC (TIA and sample-and-hold,
+//! Fig. 5 ➌) is not modelled: the ADC digitises the bit-line count
+//! directly, and the TRQ grid step `ΔR1` stands for the TIA gain /
+//! `V_ref` setting.
 //!
 //! ```
 //! use trq_xbar::{Crossbar, CrossbarConfig, BitVec};
@@ -58,7 +61,6 @@ mod bits;
 mod config;
 mod crossbar;
 mod error;
-mod frontend;
 mod kernel;
 pub mod noise;
 mod pair;
@@ -68,12 +70,10 @@ pub use bits::{pack_window_planes, BitMatrix, BitVec};
 pub use config::CrossbarConfig;
 pub use crossbar::Crossbar;
 pub use error::XbarError;
-pub use frontend::{SampleHold, Tia};
 pub use kernel::{
-    and_popcount_words, and_popcount_words_tier, cpu_feature_summary, decode_diff_tile_into,
-    mvm_diff_tile_into, popcount_words, popcount_words_tier, resolve_kernel, resolve_kernel_with,
-    ColMask, DecodeTable, DecodeTally, KernelConfigError, KernelSelect, KernelTier, WindowOcc,
-    KERNEL_ENV, WINDOW_BLOCK,
+    and_popcount_words, cpu_feature_summary, decode_diff_tile_into, mvm_diff_tile_into,
+    popcount_words, resolve_kernel, resolve_kernel_with, ColMask, DecodeTable, KernelConfigError,
+    KernelSelect, KernelTier, WindowOcc, KERNEL_ENV, WINDOW_BLOCK,
 };
 pub use noise::NoiseModel;
 pub use pair::DiffPair;

@@ -102,6 +102,5 @@ fn stats_event_counts_match_architecture_arithmetic() {
             layer.label
         );
         assert_eq!(layer.sa_ops, layer.conversions);
-        assert!(layer.max_count as usize <= arch.xbar.rows);
     }
 }
