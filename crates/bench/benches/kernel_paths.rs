@@ -4,15 +4,15 @@
 //! plus AVX-512/AVX2/NEON lanes where detected), across the
 //! monomorphised column word counts (wpc 1/2/4 and the Harley–Seal
 //! generic path), plus the skip-enabled sparse cases at both plane and
-//! window-block granularity, the conversion decode that follows the
-//! kernel (segment walk on every tier, register table on AVX-512), and
-//! the input bit-plane packing that precedes it.
+//! window-block granularity, the fused conversion the engine runs
+//! (popcount, lookup and shift-add per row chunk on every tier, register
+//! table on AVX-512), and the input bit-plane packing that precedes it.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use trq_xbar::{
-    decode_diff_tile_into, mvm_diff_tile_into, pack_window_planes, BitMatrix, ColMask, DecodeTable,
-    KernelTier, WindowOcc, WINDOW_BLOCK,
+    convert_diff_tile_into, mvm_diff_tile_into, pack_window_planes, BitMatrix, ColMask,
+    DecodeTable, KernelTier, NoVisit, WindowOcc, WINDOW_BLOCK,
 };
 
 fn matrix(rows: usize, cols: usize, seed: u64, density_pct: u64) -> BitMatrix {
@@ -168,9 +168,9 @@ fn bench_kernel_paths(c: &mut Criterion) {
         }
     }
 
-    // the conversion decode of one 128-row tile (16 outputs × 8 slices ×
-    // 8 planes × 64 windows) on every tier: the segment walk, and on
-    // AVX-512 the register-table path
+    // the fused conversion of one 128-row tile (16 outputs × 8 slices ×
+    // 8 planes × 64 windows) on every tier: popcount, lookup and
+    // shift-add per row chunk, and on AVX-512 the register-table path
     let (outputs, slices, windows) = (16usize, 8usize, 64usize);
     let cols = outputs * slices;
     let entries: Vec<u32> =
@@ -181,35 +181,22 @@ fn bench_kernel_paths(c: &mut Criterion) {
     let occ = WindowOcc::of_planes(&planes);
     let (pos, neg) = (matrix(128, cols, 41, 20), matrix(128, cols, 42, 20));
     let (pos_live, neg_live) = (ColMask::of(&pos), ColMask::of(&neg));
-    let volume = n_planes * cols * windows;
-    let (mut counts_pos, mut counts_neg) = (vec![0u32; volume], vec![0u32; volume]);
-    mvm_diff_tile_into(
-        KernelTier::Scalar,
-        &pos,
-        &neg,
-        &planes,
-        &occ,
-        &pos_live,
-        &neg_live,
-        0..cols,
-        0..windows,
-        &mut counts_pos,
-        &mut counts_neg,
-    );
     let mut acc = vec![0i64; outputs * windows];
     for tier in host_tiers() {
-        group.bench_function(&format!("decode_{}_r128", tier.name()), |b| {
+        group.bench_function(&format!("convert_{}_r128", tier.name()), |b| {
             b.iter(|| {
-                black_box(decode_diff_tile_into(
+                black_box(convert_diff_tile_into(
                     tier,
                     black_box(&table),
+                    &pos,
+                    &neg,
+                    &planes,
                     &occ,
                     &pos_live,
                     &neg_live,
                     0..cols,
                     0..windows,
-                    &counts_pos,
-                    &counts_neg,
+                    &mut NoVisit,
                     &mut acc,
                 ))
             })

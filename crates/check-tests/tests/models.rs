@@ -8,6 +8,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use trq_check::sync::{Condvar, Mutex};
 use trq_check::{explore, Config};
 use trq_core::exec::Pool;
 use trq_core::pim::PimStats;
@@ -212,4 +213,60 @@ fn serve_coalescing_answers_every_slot_once() {
     });
     assert_exhaustive("serve coalescing", &report);
     assert!(SAW_PAIR.load(Ordering::SeqCst), "no explored schedule formed a batch of 2");
+}
+
+/// A queued ticket swept by its deadline: request 1 (deadline 100 logical
+/// nanoseconds) queues behind request 0's batch, which holds the engine
+/// until request 1 is submitted and then reads the logical clock 1 000
+/// times, so the clock passes request 1's deadline before its batch can
+/// start. Under every interleaving the batcher's sweep must resolve it
+/// exactly once as `DeadlineExceeded` (an unresolved ticket leaves its
+/// waiter parked — a deadlock), count it in `deadline_expired`, and still
+/// serve requests 0 and 2. Outcomes are checked after the server shuts
+/// down, so a failure reports its schedule instead of unwinding through
+/// the batcher's join.
+#[test]
+fn serve_sweeps_an_expired_queued_ticket_once() {
+    let report = explore(Config::default(), || {
+        let gate = Arc::new((Mutex::new(false), Condvar::new()));
+        let held = Arc::clone(&gate);
+        let policy = model_policy().with_queue_cap(3);
+        let server = Server::with_worker(policy, move |source| {
+            source.serve(move |_model: ModelId, images: &[Tensor]| {
+                if images[0].data() == [0.0] {
+                    let (queued, cv) = &*held;
+                    let mut queued = queued.lock().expect("gate lock");
+                    while !*queued {
+                        queued = cv.wait(queued).expect("gate lock");
+                    }
+                    drop(queued);
+                    for _ in 0..1_000 {
+                        trq_check::time::Instant::now();
+                    }
+                }
+                Ok((images.to_vec(), PimStats::default()))
+            })
+        });
+        let m = ModelId::new(0);
+        let first = server.submit(m, image(0.0)).expect("intake is open");
+        let doomed = server
+            .submit_with_deadline(m, image(1.0), Duration::from_nanos(100))
+            .expect("the queue has room");
+        let (queued, cv) = &*gate;
+        *queued.lock().expect("gate lock") = true;
+        cv.notify_all();
+        let last = server.submit(m, image(2.0)).expect("the queue has room");
+        let outcomes = [first.wait(), doomed.wait(), last.wait()];
+        let report = server.shutdown();
+        let [first, doomed, last] = outcomes;
+        assert_eq!(first.expect("request 0 is served").output.data(), &[0.0]);
+        assert!(
+            matches!(doomed, Err(ServeError::DeadlineExceeded)),
+            "the queued request outlived its deadline, got {doomed:?}"
+        );
+        assert_eq!(last.expect("request 2 is served").output.data(), &[2.0]);
+        assert_eq!(report.deadline_expired, 1, "{report:?}");
+        assert_eq!(report.requests, 2, "{report:?}");
+    });
+    assert_exhaustive("serve deadline sweep", &report);
 }

@@ -8,41 +8,43 @@
 //!    never rebuilt or cloned per call). The LUT is a
 //!    [`trq_xbar::DecodeTable`] for the layer's bit-plane × slice
 //!    geometry, which also decides here whether the layer qualifies for
-//!    the register-table decode;
+//!    the register-table conversion;
 //! 2. **execute** — pack all `input_bits` bit-planes of the window batch
 //!    in one pass over the activation codes (scratch `BitMatrix` buffers
 //!    reused across calls, live-plane and per-window-block occupancy
 //!    recorded as a side effect), then run (output-block × window-block)
 //!    tiles through the one tile datapath, `execute_tile`. Per subarray a
-//!    tile runs these stages, the kernel and decode on the [`KernelTier`]
-//!    resolved once at engine construction:
-//!    - **kernel** — `trq_xbar::mvm_diff_tile_into`, the fused
-//!      differential popcount: each plane word loaded once for both
-//!      subarray sides, monomorphised per column word count, on AVX-512 /
-//!      AVX2 / NEON popcount lanes or the portable scalar paths;
+//!    tile makes one call of `trq_xbar::convert_diff_tile_into` on the
+//!    [`KernelTier`] resolved once at engine construction, which runs
+//!    these stages per row chunk with the counts kept in registers or a
+//!    small stack chunk — no count goes through a tile-sized buffer:
+//!    - **popcount** — the fused differential popcount: each plane word
+//!      loaded once for both subarray sides, on AVX-512 / AVX2 / NEON
+//!      popcount lanes or the portable scalar paths;
 //!    - **tally** (collector engines only) — every raw count into the
 //!      worker's `rows + 1` count histogram;
-//!    - **count noise** (σ_prog / σ_read only) — every count perturbed in
-//!      place by the keyed draws of [`trq_xbar::noise::CountNoise`], so
-//!      the ADC digitises the noisy current;
-//!    - **decode** — `trq_xbar::decode_diff_tile_into`: every count
-//!      through the packed LUT and shift-added into the tile accumulator,
-//!      returning the A/D operations spent. On AVX-512, eligible layers
-//!      (arrays of at most 128 rows whose output rows fit an `i32`; the
-//!      paper's 128-row arrays qualify) decode 16 windows of an output
-//!      row at a time from a LUT held in vector registers; every other
-//!      tier and layer walks each row's live window runs.
+//!    - **count noise** (σ_prog / σ_read only) — every count perturbed by
+//!      the keyed draws of [`trq_xbar::noise::CountNoise`], so the ADC
+//!      digitises the noisy current;
+//!    - **conversion** — every count through the packed LUT and
+//!      shift-added into the tile accumulator, counting the A/D
+//!      operations spent. On AVX-512, eligible layers (arrays of at most
+//!      128 rows, magnitudes below 2^15, output rows that fit an `i32`;
+//!      the paper's 128-row arrays qualify) convert 16 windows of an
+//!      output row at a time from a LUT held in vector registers; every
+//!      other tier and layer walks each row's live window runs in stack
+//!      chunks.
 //!
-//!    Kernel and decode skip all-zero input bit-planes, all-zero weight
-//!    slice columns, and dead window blocks inside live subarrays; those
-//!    count-0 conversions fold into the event ledger in closed form. The
-//!    tally and the noise need every slot, so a collecting or noisy
-//!    engine runs **dense tiles**: all-live occupancy and column masks
-//!    make the kernel write every slot. Every tier and path is
-//!    bit-identical. Subarrays and bit-planes are looped *inside* each
-//!    tile, so every tile owns a disjoint region of the accumulator and
-//!    tiles run on any number of worker threads with bit-identical
-//!    results;
+//!    The tally and the noise are one [`CountVisitor`] that sees each
+//!    chunk's raw counts before the lookup. Without one, the conversion
+//!    skips all-zero input bit-planes, all-zero weight slice columns, and
+//!    dead window blocks inside live subarrays; those count-0 conversions
+//!    fold into the event ledger in closed form. The tally and the noise
+//!    need every slot, so a visitor makes the conversion run **dense**.
+//!    Every tier and path is bit-identical. Subarrays and bit-planes are
+//!    looped *inside* each tile, so every tile owns a disjoint region of
+//!    the accumulator and tiles run on any number of worker threads with
+//!    bit-identical results;
 //! 3. **account** — sum the per-worker event tallies and count
 //!    histograms into the layer's [`PimStats`] and the collector's
 //!    samples, and scale the integer accumulator into code units.
@@ -50,9 +52,9 @@
 //! Tile rounds run on the persistent [`crate::exec::Pool`] (dispatch onto
 //! parked workers, no per-call thread spawn; a one-thread round runs
 //! inline on the caller) with per-worker scratch **arenas** — tile
-//! accumulators, count buffers, event tallies and histograms allocated
-//! once and reused — so the steady-state forward path performs zero heap
-//! allocations (asserted in `crates/core/tests/alloc_free.rs`). The
+//! accumulators, event tallies and histograms allocated once and reused
+//! — so the steady-state forward path performs zero heap allocations
+//! (asserted in `crates/core/tests/alloc_free.rs`). The
 //! pinned scalar reference every tier is property-tested against is a
 //! test-only engine, `crates/core/tests/reference/mod.rs`.
 
@@ -61,14 +63,15 @@ use crate::exec::Pool;
 use crate::pim::scheme::{AdcScheme, Lut};
 use crate::pim::stats::PimStats;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use trq_nn::{MvmEngine, MvmLayerInfo};
 use trq_quant::Histogram;
 use trq_xbar::noise::{mix64, unit_open, CountNoise};
 use trq_xbar::{
-    decode_diff_tile_into, mvm_diff_tile_into, pack_window_planes, resolve_kernel, BitMatrix,
-    ColMask, KernelConfigError, KernelTier, NoiseModel, WindowOcc,
+    convert_diff_tile_into, pack_window_planes, resolve_kernel, BitMatrix, ColMask, CountVisitor,
+    KernelConfigError, KernelTier, NoVisit, NoiseModel, WindowOcc,
 };
 
 /// Configuration for bit-line count collection during calibration runs.
@@ -97,15 +100,6 @@ struct Programmed {
     /// Per-count conversion table (packed entries), built once at
     /// programming time.
     lut: Lut,
-    /// Every column of the layer marked live: the masks of dense tiles.
-    all_cols: ColMask,
-}
-
-impl Programmed {
-    fn new(subarrays: Vec<DiffSubarray>, lut: Lut) -> Self {
-        let all_cols = ColMask::all_live(subarrays.first().map_or(0, |s| s.pos.cols()));
-        Programmed { subarrays, lut, all_cols }
-    }
 }
 
 /// One crossbar row block: the differential (pos, neg) slice planes plus
@@ -185,21 +179,12 @@ impl TileEvents {
     }
 }
 
-/// Per-worker scratch reused across tiles (no allocation in steady state).
-#[derive(Default)]
-struct TileScratch {
-    counts_pos: Vec<u32>,
-    counts_neg: Vec<u32>,
-}
-
 /// Everything one worker touches during a tile round, allocated once per
 /// worker slot and reused for the engine's whole lifetime. `reset_round`
 /// only rewinds logical lengths; capacities are monotone, which is what
 /// makes the steady-state forward path allocation-free.
 #[derive(Default)]
 struct WorkerArena {
-    /// Count buffers for the fused popcount kernel.
-    scratch: TileScratch,
     /// Tile accumulators of the round, concatenated back to back.
     acc_pool: Vec<i64>,
     /// `(tile index, acc_pool offset)` of every completed tile.
@@ -225,34 +210,9 @@ impl WorkerArena {
     /// invariant checked by `tests/alloc_free.rs` (must not grow after
     /// warm-up).
     fn footprint(&self) -> usize {
-        self.scratch.counts_pos.capacity() * size_of::<u32>()
-            + self.scratch.counts_neg.capacity() * size_of::<u32>()
-            + self.acc_pool.capacity() * size_of::<i64>()
+        self.acc_pool.capacity() * size_of::<i64>()
             + self.done.capacity() * size_of::<(usize, usize)>()
             + self.hist.capacity() * size_of::<u64>()
-    }
-}
-
-/// Debug-build poison for count buffers: no bit line can count this high,
-/// so an unwritten slot is unmistakable. Release builds never write or
-/// check it — the buffers simply keep stale contents in skipped regions.
-const COUNT_POISON: u32 = u32::MAX;
-
-/// Sets both count buffers' logical length to `volume` **without zeroing**
-/// — the kernels overwrite every live slot, so the old per-tile memset
-/// was pure overhead (only growth beyond any previously seen volume pays
-/// a fill, once). Debug builds poison the buffers instead so the decode
-/// loops can assert the kernel really wrote every slot they read.
-fn prepare_counts(scratch: &mut TileScratch, volume: usize) {
-    for counts in [&mut scratch.counts_pos, &mut scratch.counts_neg] {
-        if counts.len() >= volume {
-            counts.truncate(volume);
-        } else {
-            counts.resize(volume, 0);
-        }
-        if cfg!(debug_assertions) {
-            counts.fill(COUNT_POISON);
-        }
     }
 }
 
@@ -268,52 +228,92 @@ struct Round<'a> {
     ibits: usize,
     /// Collector engines add every raw count to the arena histogram.
     tally: bool,
-    /// Count-level device noise, applied between kernel and decode.
+    /// Count-level device noise, applied between popcount and lookup.
     noise: Option<CountNoise>,
 }
 
 impl Round<'_> {
-    /// The tally and the noise read every slot, so their tiles run dense.
-    fn dense(&self) -> bool {
-        self.tally || self.noise.is_some()
+    /// Subarray `s`'s conversion of the tile `cols × windows` into `acc`,
+    /// returning its A/D operations.
+    // no_alloc: once per subarray of every tile
+    fn convert<V: CountVisitor>(
+        &self,
+        s: usize,
+        cols: Range<usize>,
+        windows: Range<usize>,
+        visitor: &mut V,
+        acc: &mut [i64],
+    ) -> u64 {
+        let sub = &self.prog.subarrays[s];
+        convert_diff_tile_into(
+            self.tier,
+            self.prog.lut.table(),
+            &sub.pos,
+            &sub.neg,
+            &self.planes[s],
+            &self.occ[s],
+            &sub.pos_live,
+            &sub.neg_live,
+            cols,
+            windows,
+            visitor,
+            acc,
+        )
     }
 }
 
-/// Executes one tile — the engine's only tile datapath. Per subarray:
+/// The dense rounds' [`CountVisitor`] for one subarray: the collector's
+/// tally first, then the count noise, keyed on the slot's absolute
+/// (subarray, side, plane, column, window) coordinates — so the result is
+/// independent of tiling, chunking and thread count.
+struct DenseVisit<'a> {
+    subarray: usize,
+    /// The arena's `rows + 1` histogram when tallying.
+    hist: Option<&'a mut [u64]>,
+    noise: Option<&'a CountNoise>,
+}
+
+impl CountVisitor for DenseVisit<'_> {
+    // no_alloc: per row chunk of every dense tile
+    fn visit(&mut self, side: usize, plane: usize, col: usize, w0: usize, counts: &mut [u32]) {
+        if let Some(hist) = self.hist.as_deref_mut() {
+            for &count in counts.iter() {
+                hist[count as usize] += 1;
+            }
+        }
+        if let Some(noise) = self.noise {
+            for (w, count) in (w0..).zip(counts.iter_mut()) {
+                *count = noise.perturb(self.subarray, side as u64, plane, col, w, *count);
+            }
+        }
+    }
+}
+
+/// Executes one tile — the engine's only tile datapath: per subarray, one
+/// call of the conversion primitive `trq_xbar::convert_diff_tile_into`,
+/// which popcounts every (plane, column) row of the tile, digitises each
+/// count through the layer's packed LUT, shift-adds it into the
+/// tile-local accumulator `acc` (length `tile.len()`, zeroed by the
+/// caller) and returns the A/D operations that go into `events`. The
+/// counts stay in registers or a small stack chunk.
 ///
-/// 1. **kernel** — one fused differential popcount pass over every live
-///    bit-plane, each input plane word loaded once for both subarray
-///    sides;
-/// 2. **tally** (collector engines) — every raw count of both sides into
-///    `hist`, the arena's `rows + 1` histogram;
-/// 3. **count noise** — every count perturbed in place with draws keyed
-///    on its absolute (subarray, side, plane, column, window) slot, so
-///    the result is independent of tiling and thread count;
-/// 4. **decode** — one call of the conversion decode primitive, which
-///    digitises every count through the layer's packed LUT,
-///    shift-adds it into the tile-local accumulator `acc` (length
-///    `tile.len()`, zeroed by the caller) and returns the A/D operations
-///    that go into `events`.
-///
-/// Kernel and decode run on the engine's resolved [`KernelTier`]: on
-/// AVX-512 the decode of register-eligible layers reads the LUT from
-/// vector registers, 16 windows at a time; every other tier and layer
-/// walks the rows' live window runs. All paths are bit-identical.
+/// The conversion runs on the engine's resolved [`KernelTier`]: on AVX-512,
+/// register-eligible layers read the LUT from vector registers, 16 windows
+/// at a time; every other tier and layer walks the rows' live window runs
+/// in stack chunks. All paths are bit-identical.
 ///
 /// Sparsity-aware skipping: all-zero input bit-planes, dead window
 /// *blocks* inside live planes (both from the subarray's [`WindowOcc`]),
 /// and all-zero weight slice columns (the subarray's [`ColMask`]s) are
-/// skipped in the kernel and never read by the decode. Their counts are 0
-/// by construction, so the accumulator contribution cancels exactly and
-/// the count-0 conversions fold into the event ledger in closed form —
-/// `PimStats` stays bit-identical to the dense path. Dense rounds (tally
-/// or noise on) pass all-live occupancy and the layer's all-live column
-/// mask instead, so every slot is written before the tally and the noise
-/// read it.
+/// skipped. Their counts are 0 by construction, so the accumulator
+/// contribution cancels exactly and the count-0 conversions fold into the
+/// event ledger in closed form — `PimStats` stays bit-identical to the
+/// dense path. Dense rounds (tally or noise on) pass a [`DenseVisit`],
+/// which sees every slot's raw count before the lookup — tally first,
+/// then the noise — and so skips nothing.
 fn execute_tile(
     round: &Round<'_>,
     tile: Tile,
-    scratch: &mut TileScratch,
     acc: &mut [i64],
     events: &mut TileEvents,
     hist: &mut [u64],
@@ -321,57 +321,19 @@ fn execute_tile(
     debug_assert_eq!(acc.len(), tile.len(), "tile accumulator must match the tile volume");
     let prog = round.prog;
     let (cols, windows) = (tile.o0 * round.wbits..tile.o1 * round.wbits, tile.w0..tile.w1);
-    let (nc, nw) = (cols.len(), windows.len());
-    let volume = round.ibits * nc * nw;
-    let dense = round.dense();
-    prepare_counts(scratch, volume);
-    for (s, sub) in prog.subarrays.iter().enumerate() {
-        let (pos_live, neg_live) =
-            if dense { (&prog.all_cols, &prog.all_cols) } else { (&sub.pos_live, &sub.neg_live) };
-        mvm_diff_tile_into(
-            round.tier,
-            &sub.pos,
-            &sub.neg,
-            &round.planes[s],
-            &round.occ[s],
-            pos_live,
-            neg_live,
-            cols.clone(),
-            windows.clone(),
-            &mut scratch.counts_pos,
-            &mut scratch.counts_neg,
-        );
-        debug_assert!(
-            !dense
-                || scratch.counts_pos.iter().chain(&scratch.counts_neg).all(|&c| c != COUNT_POISON),
-            "a dense tile must write every slot"
-        );
-        if round.tally {
-            for &count in scratch.counts_pos.iter().chain(&scratch.counts_neg) {
-                hist[count as usize] += 1;
-            }
-        }
-        if let Some(noise) = &round.noise {
-            for (side, counts) in [(0, &mut scratch.counts_pos), (1, &mut scratch.counts_neg)] {
-                for (i, count) in counts.iter_mut().enumerate() {
-                    let (row, w) = (i / nw, i % nw);
-                    let (plane, col) = (row / nc, cols.start + row % nc);
-                    *count = noise.perturb(s, side, plane, col, windows.start + w, *count);
-                }
-            }
-        }
-        events.ops += decode_diff_tile_into(
-            round.tier,
-            prog.lut.table(),
-            &round.occ[s],
-            pos_live,
-            neg_live,
-            cols.clone(),
-            windows.clone(),
-            &scratch.counts_pos,
-            &scratch.counts_neg,
-            acc,
-        );
+    let volume = round.ibits * cols.len() * windows.len();
+    let dense = round.tally || round.noise.is_some();
+    for s in 0..prog.subarrays.len() {
+        events.ops += if dense {
+            let mut visit = DenseVisit {
+                subarray: s,
+                hist: round.tally.then_some(&mut *hist),
+                noise: round.noise.as_ref(),
+            };
+            round.convert(s, cols.clone(), windows.clone(), &mut visit, acc)
+        } else {
+            round.convert(s, cols.clone(), windows.clone(), &mut NoVisit, acc)
+        };
         events.conversions += 2 * volume as u64;
     }
 }
@@ -604,9 +566,8 @@ impl PimMvm {
         let subarray = (plane_words.checked_add(mask_words)?)
             .checked_mul(2 * size_of::<u64>() as u64)?
             .checked_add(size_of::<DiffSubarray>() as u64)?;
-        // packed entries, the register image, the all-live mask
-        let fixed = (rows.checked_add(1 + 128)?.checked_mul(size_of::<u32>() as u64)?)
-            .checked_add(mask_words * size_of::<u64>() as u64)?;
+        // packed entries and the register image
+        let fixed = rows.checked_add(1 + 128)?.checked_mul(size_of::<u32>() as u64)?;
         (depth as u64).div_ceil(rows).checked_mul(subarray)?.checked_add(fixed)
     }
 
@@ -725,7 +686,7 @@ impl PimMvm {
             .scheme_for(info.mvm_index)
             .build_lut(&self.arch)
             .unwrap_or_else(|e| panic!("layer {} cannot be programmed: {e}", info.mvm_index));
-        self.programmed.insert(info.mvm_index, Programmed::new(subarrays, lut));
+        self.programmed.insert(info.mvm_index, Programmed { subarrays, lut });
     }
 
     /// Folds a tile-local accumulator into the layer accumulator.
@@ -768,8 +729,6 @@ impl MvmEngine for PimMvm {
         let noise = self.noise.and_then(|nz| {
             CountNoise::for_call(&nz, info.mvm_index, self.noise_epoch, rows as u32)
         });
-        // the tally and the noise read every slot: their tiles run dense
-        let dense = self.collecting || noise.is_some();
 
         // batched bit-plane packing: all `input_bits` planes of every
         // subarray in one pass over `cols` each, into reused scratch;
@@ -788,9 +747,7 @@ impl MvmEngine for PimMvm {
             let d0 = s * rows;
             let d1 = ((s + 1) * rows).min(info.depth);
             pack_window_planes(cols, n, d0, d1, rows, ibits as u32, planes, occ);
-            if dense {
-                occ.fill_all_live();
-            } else if !exec.block_skip {
+            if !exec.block_skip {
                 // keep plane-level skipping, degrade block granularity
                 occ.fill_blocks_live();
             }
@@ -830,26 +787,18 @@ impl MvmEngine for PimMvm {
             noise,
         };
         let tiles = &self.tiles;
-        let max_tile = tiles.iter().map(|t| t.len()).max().unwrap_or(0);
         for slot in &self.arenas[..threads] {
             let mut arena = slot.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
             arena.reset_round(if round.tally { rows + 1 } else { 0 });
             // reserve worst-case round capacity up front (one worker
             // could claim every tile) so capacities stay monotone and
-            // rounds never allocate after the first call per shape —
-            // count scratch included: which tiles a slot claims is
-            // scheduling-dependent, and a busy-pool fallback round runs
-            // every slot inline on the caller, so a lazily-sized arena
-            // would allocate there mid-steady-state
+            // rounds never allocate after the first call per shape:
+            // which tiles a slot claims is scheduling-dependent, and a
+            // busy-pool fallback round runs every slot inline on the
+            // caller, so a lazily-sized arena would allocate there
+            // mid-steady-state
             arena.acc_pool.reserve(info.outputs * n);
             arena.done.reserve(tiles.len());
-            // scratch keeps its logical length across rounds (stale
-            // contents are overwritten), so reserve only the shortfall
-            let volume = ibits * wbits * max_tile;
-            let pos = &mut arena.scratch.counts_pos;
-            pos.reserve(volume.saturating_sub(pos.len()));
-            let neg = &mut arena.scratch.counts_neg;
-            neg.reserve(volume.saturating_sub(neg.len()));
         }
         // a fork-join tile round: participants claim tiles from the
         // shared counter and execute them into their own arena; the
@@ -871,7 +820,6 @@ impl MvmEngine for PimMvm {
                 execute_tile(
                     &round,
                     tile,
-                    &mut arena.scratch,
                     &mut arena.acc_pool[offset..],
                     &mut arena.events,
                     &mut arena.hist,

@@ -90,11 +90,10 @@ impl AdcScheme {
 }
 
 /// Precomputed conversion table for one layer, packed so each conversion
-/// decode touches a single entry: A/D operations in the top byte,
-/// reconstructed magnitude (LSB units) in the low 24 bits. The entries
-/// live in a [`DecodeTable`] for the layer's tile geometry, which decides
-/// once, here at programming time, whether the register-table decode may
-/// run.
+/// touches a single entry: A/D operations in the top byte, reconstructed
+/// magnitude (LSB units) in the low 24 bits. The entries live in a
+/// [`DecodeTable`] for the layer's tile geometry, which decides once, here
+/// at programming time, whether the register-table conversion may run.
 #[derive(Debug, Clone)]
 pub(crate) struct Lut {
     /// The packed `ops << OPS_SHIFT | lsb` entries, indexed by BL count,
@@ -209,8 +208,9 @@ mod tests {
         ] {
             assert!(scheme.build_lut(&arch).unwrap().table().register_eligible(), "{scheme:?}");
         }
-        // R2 magnitudes up to 255 << 8 overflow an i32 row sum of 8 × 8
-        // bit rows: this layer keeps the segment walk
+        // R2 magnitudes up to 255 << 8 pass the register table's 2^15
+        // limit (and overflow an i32 row sum of 8 × 8 bit rows): this
+        // layer keeps the row-chunk conversion
         assert!(!trq(2, 8, 8, 0.001, 0).build_lut(&arch).unwrap().table().register_eligible());
         // arrays taller than the register table also keep it
         let tall = ArchConfig { xbar: trq_xbar::CrossbarConfig { rows: 256, ..arch.xbar }, ..arch };

@@ -10,7 +10,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use trq_core::arch::{ArchConfig, ExecConfig};
-use trq_core::pim::{AdcScheme, PimMvm};
+use trq_core::pim::{AdcScheme, CollectorConfig, PimMvm};
 use trq_nn::{MvmEngine, MvmLayerInfo};
 
 thread_local! {
@@ -153,6 +153,56 @@ fn ideal_noise_model_keeps_the_steady_state_allocation_free_and_bit_identical() 
     let after = thread_allocs();
     assert_eq!(after - before, 0, "ideal-noise steady state allocated {} times", after - before);
     assert_eq!(out, want);
+}
+
+/// Warms `pim` with two calls, then asserts that ten more identical-shape
+/// calls allocate nothing on the caller and leave the arena footprint
+/// where warm-up put it.
+fn assert_steady_state_is_allocation_free(pim: &mut PimMvm, what: &str) {
+    let (depth, outputs, n) = (150, 8, 6);
+    let info = layer(depth, outputs);
+    let (weights, cols) = inputs(depth, outputs, n);
+    let mut out = vec![0.0f64; outputs * n];
+    pim.begin_session();
+    pim.mvm_into(&info, &weights, &cols, n, &mut out);
+    pim.mvm_into(&info, &weights, &cols, n, &mut out);
+
+    let footprint = pim.scratch_footprint();
+    let before = thread_allocs();
+    for _ in 0..10 {
+        pim.mvm_into(&info, &weights, &cols, n, &mut out);
+    }
+    let after = thread_allocs();
+    assert_eq!(after - before, 0, "{what} steady state allocated {} times", after - before);
+    assert_eq!(pim.scratch_footprint(), footprint, "{what} arena capacity grew after warm-up");
+}
+
+/// Dense rounds run the tally through the conversion's count visitor: a
+/// collector engine's steady state (the per-layer histogram exists after
+/// the first call) allocates nothing, serial or pooled.
+#[test]
+fn steady_state_collector_rounds_are_allocation_free() {
+    for exec in [ExecConfig::serial(), ExecConfig::serial().with_threads(2).with_tile_outputs(2)] {
+        let arch = ArchConfig::default().with_exec(exec);
+        let mut pim = PimMvm::collector(arch, 1, CollectorConfig::default());
+        assert_steady_state_is_allocation_free(&mut pim, "collector");
+        assert!(!pim.take_samples().is_empty(), "the collector must have tallied");
+    }
+}
+
+/// Dense rounds run σ_read count noise through the conversion's count
+/// visitor: a noisy engine's steady state allocates nothing, serial or
+/// pooled.
+#[test]
+fn steady_state_read_noise_rounds_are_allocation_free() {
+    let noise = trq_xbar::NoiseModel { sigma_read: 0.8, seed: 11, ..Default::default() };
+    let params = trq_quant::TrqParams::new(3, 7, 1, 1.0, 0).unwrap();
+    for exec in [ExecConfig::serial(), ExecConfig::serial().with_threads(2).with_tile_outputs(2)] {
+        let arch = ArchConfig::default().with_exec(exec);
+        let mut pim = PimMvm::new(arch, vec![AdcScheme::Trq(params)]).with_device_noise(noise);
+        assert!(pim.device_noise().is_some(), "σ_read must install a noise model");
+        assert_steady_state_is_allocation_free(&mut pim, "read-noise");
+    }
 }
 
 /// Shape changes may grow capacity once, but revisiting a previously-seen

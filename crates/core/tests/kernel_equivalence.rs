@@ -1,10 +1,11 @@
-//! Kernel-path equivalence: the specialised execute stage — fused
-//! differential popcount kernels monomorphised per column word count
-//! (`words_per_col ∈ {1, 2, 4}` plus the Harley–Seal generic path) on
-//! **every kernel tier this host can run** (scalar plus the
-//! AVX-512/AVX2/NEON SIMD lanes), packed-LUT decode, and sparsity-aware
-//! plane/column/window-block skipping, and the dense tiles that carry the
-//! calibration tally and count noise — must be **bit-identical** to the
+//! Kernel-path equivalence: the specialised execute stage — the fused
+//! conversion (differential popcount monomorphised per column word count,
+//! `words_per_col ∈ {1, 2, 4}` plus the Harley–Seal generic path, fused
+//! with the packed-LUT lookup and shift-add) on **every kernel tier this
+//! host can run** (scalar plus the AVX-512/AVX2/NEON SIMD lanes, and the
+//! AVX-512 register table), sparsity-aware plane/column/window-block
+//! skipping, and the count visitor that carries the calibration tally
+//! and count noise — must be **bit-identical** to the
 //! scalar reference engine in `reference/mod.rs`: output values, the
 //! ledger fields the tile datapath owns (ops and conversions), and the
 //! collected bit-line count histograms, across thread counts and tilings.
@@ -117,8 +118,9 @@ fn cols_for(mode: usize, len: usize, seed: u64) -> Vec<u8> {
 /// The ADC schemes the equivalence sweep draws from: the ideal identity,
 /// TRQ as the paper calibrates it, serve-mlp's uniform plan and a coarser
 /// uniform grid, TRQ with a floating window (bias 2), and TRQ whose R2
-/// magnitudes reach 255 << 8 — past the `i32` row bound of the
-/// register-table decode, so it pins the segment-walk fallback.
+/// magnitudes reach 255 << 8 — past the magnitude limit and the `i32` row
+/// bound of the register-table conversion, so it pins the row-chunk
+/// fallback.
 fn scheme(sel: usize) -> AdcScheme {
     match sel {
         0 => AdcScheme::Ideal,

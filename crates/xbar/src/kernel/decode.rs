@@ -1,35 +1,55 @@
-//! The conversion decode primitive — the stage after the popcount kernel.
+//! The conversion primitive — the popcount kernel fused with the decode.
 //!
 //! For every (input bit-plane, weight slice) row of a tile, each bit-line
 //! count is digitised by the layer's ADC scheme and rebuilt by shift-and-add
-//! (paper §III-D, Fig. 4b): the packed conversion entry of the count gives
-//! the reconstructed magnitude (LSB units) and the A/D operations the
-//! conversion cost. [`decode_diff_tile_into`] folds one subarray's
-//! differential counts into an `i64` tile accumulator and returns the A/D
-//! operations they cost, in one of two bit-identical ways:
+//! straight away (paper §III-D, Fig. 4b): the packed conversion entry of
+//! the count gives the reconstructed magnitude (LSB units) and the A/D
+//! operations the conversion cost. [`convert_diff_tile_into`] popcounts one
+//! subarray's differential tile, folds every count into an `i64` tile
+//! accumulator and returns the A/D operations they cost; no count goes
+//! through a tile-sized buffer. It runs one of two bit-identical ways:
 //!
-//! - **segment walk** (the scalar, AVX2 and NEON tiers, and tables the
-//!   register path does not take) — per row, the window range is walked
-//!   as maximal live/dead block runs; live slots read one entry per count,
-//!   dead runs fold their count-0 conversions into the ledger in closed
-//!   form;
+//! - **row chunks** (the scalar, AVX2 and NEON tiers, and tables or
+//!   column heights the register path does not take) — per (plane,
+//!   column) row, the window range is walked as maximal live/dead block
+//!   runs; live runs are counted by the tier's row kernel into a stack
+//!   chunk of at most [`ROW_CHUNK`] windows and decoded from it, dead
+//!   rows and runs fold their count-0 conversions into the ledger in
+//!   closed form;
 //! - **register table** (AVX-512 tier, tables that are
-//!   [`DecodeTable::register_eligible`]) — 16 windows of one output row at
-//!   a time, with the whole table held in vector registers: counts come in
-//!   through masked loads (plane, window block, column and tile bounds),
-//!   so a skipped slot reads as count 0 and picks entry 0 — the closed-form
-//!   folds fall out of the arithmetic — and every (plane, slice) row of the
-//!   output accumulates in one `i32` lane set, widened to `i64` once.
+//!   [`DecodeTable::register_eligible`] on arrays of one or two words per
+//!   column) — 16 windows of one output row at a time, with the whole
+//!   table held in vector registers as byte planes: each live plane's
+//!   words are loaded once per chunk through masked loads (lanes past the
+//!   tile and dead window blocks read 0), every (plane, slice) count
+//!   vector of both sides is popcounted against the broadcast column words
+//!   and compacted into one vector of index bytes, looked up with one byte
+//!   permute per byte plane, and the magnitude difference summed into one
+//!   `i32` lane set per output row, widened to `i64` once. Dead columns
+//!   and blocks have all-zero words, so their lanes count 0 and pick
+//!   entry 0 by arithmetic.
+//!
+//! A [`CountVisitor`] sees the raw counts of each chunk before the lookup
+//! and may rewrite them — the engine's calibration tally and count-level
+//! device noise ride on it. The no-op [`NoVisit`] compiles the hook away.
 
-use super::{cpu_feature_summary, ColMask, KernelTier, WindowOcc};
+use super::{cpu_feature_summary, ColMask, KernelTier, RowKernels, ScalarRows, WindowOcc};
+use crate::bits::BitMatrix;
 use std::ops::Range;
 
-/// Entries the register-table decode holds in vector registers: four
-/// two-register permutes of 32 entries each. A count equal to the array
-/// height (`rows`, one past the table for 128-row arrays) is blended in
-/// separately, so tables of up to `REGISTER_TABLE_ENTRIES + 1` entries
-/// qualify.
+/// Entries the register-table conversion holds in vector registers: one
+/// two-register byte permute of 128 entries per byte plane. A count of
+/// 128 (the array height of the paper's 128-row arrays, one past the
+/// table) is blended in separately, so tables of up to
+/// `REGISTER_TABLE_ENTRIES + 1` entries qualify.
 pub(crate) const REGISTER_TABLE_ENTRIES: usize = 128;
+
+/// Magnitudes the register table holds: two bytes, read as one signed
+/// 16-bit word per side.
+const REGISTER_LSB_LIMIT: u64 = 1 << 15;
+
+/// Windows one stack chunk of the row-chunk path holds per side.
+const ROW_CHUNK: usize = 64;
 
 /// A layer's packed conversion table together with the tile geometry it
 /// decodes: one entry per bit-line count `0..=rows`, packed as
@@ -37,16 +57,17 @@ pub(crate) const REGISTER_TABLE_ENTRIES: usize = 128;
 /// magnitude in LSB units below), for counts laid out as `planes` input
 /// bit-planes × `slices` weight slices per output.
 ///
-/// Whether the register-table decode may run is decided here, once, at
-/// construction (see [`DecodeTable::register_eligible`]).
+/// Whether the register-table conversion may run is decided here, once,
+/// at construction (see [`DecodeTable::register_eligible`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct DecodeTable {
     entries: Vec<u32>,
     planes: usize,
     slices: usize,
-    /// The first [`REGISTER_TABLE_ENTRIES`] entries, padded with entry 0,
-    /// when the table is register-eligible; empty otherwise.
-    image: Vec<u32>,
+    /// The byte planes of the first [`REGISTER_TABLE_ENTRIES`] entries,
+    /// padded with entry 0, when the table is register-eligible (empty
+    /// otherwise): magnitude low bytes, magnitude high bytes, then ops.
+    image: Vec<u8>,
 }
 
 impl DecodeTable {
@@ -65,37 +86,44 @@ impl DecodeTable {
         assert!(!entries.is_empty(), "a conversion table holds at least the count-0 entry");
         let mut table = DecodeTable { entries, planes, slices, image: Vec::new() };
         if table.fits_registers() {
-            let mut image = vec![table.entries[0]; REGISTER_TABLE_ENTRIES];
-            let n = table.entries.len().min(REGISTER_TABLE_ENTRIES);
-            image[..n].copy_from_slice(&table.entries[..n]);
-            table.image = image;
+            let entry = |i: usize| table.entries.get(i).copied().unwrap_or(table.entries[0]);
+            table.image = [0, 8, Self::OPS_SHIFT]
+                .iter()
+                .flat_map(|&shift| {
+                    (0..REGISTER_TABLE_ENTRIES).map(move |i| (entry(i) >> shift) as u8)
+                })
+                .collect();
         }
         table
     }
 
     /// The eligibility rule: `rows + 1` entries fit the register table
-    /// (plus the `count == rows` blend), and a whole output row —
-    /// `max_lsb · (2^slices − 1) · (2^planes − 1)` at most — fits an `i32`
-    /// lane.
+    /// (plus the count-128 blend), every magnitude is below 2^15, and a
+    /// whole output row — `max_lsb · (2^slices − 1) · (2^planes − 1)` at
+    /// most — fits an `i32` lane.
     fn fits_registers(&self) -> bool {
         if self.entries.len() > REGISTER_TABLE_ENTRIES + 1 || self.planes > 31 || self.slices > 31 {
             return false;
         }
         let max_lsb = self.entries.iter().map(|&e| u64::from(e & Self::LSB_MASK)).max();
+        let max_lsb = max_lsb.unwrap_or(0);
         let weight = ((1u64 << self.slices) - 1) * ((1u64 << self.planes) - 1);
-        max_lsb.unwrap_or(0).checked_mul(weight).is_some_and(|bound| bound < 1 << 31)
+        max_lsb < REGISTER_LSB_LIMIT
+            && max_lsb.checked_mul(weight).is_some_and(|bound| bound < 1 << 31)
     }
 
-    /// True when the AVX-512 tier decodes this table from registers; other
-    /// tables (taller arrays, or magnitudes that could overflow an `i32`
-    /// row sum) take the segment walk on every tier.
+    /// True when the AVX-512 tier converts this table from registers;
+    /// other tables (taller arrays, magnitudes of 2^15 and up, or
+    /// magnitudes that could overflow an `i32` row sum) take the row-chunk
+    /// path on every tier.
     pub fn register_eligible(&self) -> bool {
         !self.image.is_empty()
     }
 
-    /// The padded register image of a register-eligible table
-    /// ([`REGISTER_TABLE_ENTRIES`] entries), empty otherwise.
-    pub(crate) fn register_image(&self) -> &[u32] {
+    /// The padded register image of a register-eligible table — three
+    /// byte planes of [`REGISTER_TABLE_ENTRIES`] entries each — empty
+    /// otherwise.
+    pub(crate) fn register_image(&self) -> &[u8] {
         &self.image
     }
 
@@ -109,67 +137,127 @@ impl DecodeTable {
         self.entries.len() - 1
     }
 
-    /// Input bit-planes per count block.
-    pub(crate) fn planes(&self) -> usize {
-        self.planes
-    }
-
     /// Weight slices per output.
     pub(crate) fn slices(&self) -> usize {
         self.slices
     }
 }
 
-/// Decodes one subarray's differential tile counts into a tile
-/// accumulator: for output `o`, slice `α` and plane `p`, adds
-/// `(lsb(pos) − lsb(neg)) << (α + p)` into `acc[o · nw + w]`, and returns
-/// the A/D operations of every conversion of the tile.
+/// A hook on the raw bit-line counts of [`convert_diff_tile_into`],
+/// between the popcount and the table lookup: the calibration tally reads
+/// the counts here, count-level device noise rewrites them.
 ///
-/// `counts_pos` / `counts_neg` hold [`super::mvm_diff_tile_into`]'s output
-/// for the same `occ`, masks, `cols` and `windows`: layout
-/// `[plane][c − cols.start][w − windows.start]` with `table.planes()`
-/// planes. Slots that kernel skipped (dead plane, dead window block, dead
-/// column on that side) are never read — they decode as count 0 and cost
-/// entry 0's ops, so the returned ops equal a dense decode of every slot.
-/// `cols` covers whole outputs (`table.slices()` columns each, starting
-/// on an output boundary) and `acc` is `[output][window]`, `nw` windows
-/// wide.
+/// An active visitor (`ACTIVE == true`, the default) sees **every** slot
+/// of the tile exactly once, on every tier: the primitive then ignores
+/// the occupancy and column masks (skipping is only a shortcut, since a
+/// dead slot counts 0 anyway). Slots arrive in row chunks, in no
+/// particular order, so a visitor must key anything it draws on the slot
+/// coordinates, not on the call sequence.
+pub trait CountVisitor {
+    /// False only for [`NoVisit`]: the primitive then never calls
+    /// [`CountVisitor::visit`] and keeps every skip.
+    const ACTIVE: bool = true;
+
+    /// Sees and may rewrite the counts of windows `w0..w0 + counts.len()`
+    /// (absolute window indices) on one row: `side` 0 is the positive
+    /// subarray, 1 the negative; `plane` is the input bit-plane and `col`
+    /// the absolute weight column. A rewritten count must stay within the
+    /// table (`0..=rows`).
+    fn visit(&mut self, side: usize, plane: usize, col: usize, w0: usize, counts: &mut [u32]);
+}
+
+/// The no-op [`CountVisitor`]: the plain conversion, with every skip.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct NoVisit;
+
+impl CountVisitor for NoVisit {
+    const ACTIVE: bool = false;
+
+    #[inline]
+    fn visit(&mut self, _: usize, _: usize, _: usize, _: usize, _: &mut [u32]) {}
+}
+
+/// The operands of one tile conversion, checked by
+/// [`convert_diff_tile_into`] before any path runs.
+pub(super) struct ConvertTile<'a> {
+    pub(super) table: &'a DecodeTable,
+    pub(super) pos: &'a BitMatrix,
+    pub(super) neg: &'a BitMatrix,
+    pub(super) planes: &'a [BitMatrix],
+    pub(super) occ: &'a WindowOcc,
+    pub(super) pos_live: &'a ColMask,
+    pub(super) neg_live: &'a ColMask,
+    pub(super) cols: Range<usize>,
+    pub(super) windows: Range<usize>,
+}
+
+/// Converts one differential subarray tile: for output `o`, slice `α`,
+/// plane `p` and window `w`, popcounts `pos.col(c) & planes[p].col(w)`
+/// and `neg.col(c) & planes[p].col(w)` (`c = cols.start + o · slices + α`),
+/// looks both counts up in `table`, adds `(lsb(pos) − lsb(neg)) << (α + p)`
+/// into `acc[o · nw + w − windows.start]`, and returns the A/D operations
+/// of every conversion of the tile. The counts stay in registers or a
+/// small stack chunk; this is the fusion of [`super::mvm_diff_tile_into`]
+/// with the decode.
+///
+/// `planes` holds one input bit-plane per plane of `table`; `cols` covers
+/// whole outputs (one column per weight slice of `table`, starting on an
+/// output boundary) and `acc` is `[output][window]`, `nw` windows wide.
+///
+/// **Skipping contract:** planes dead in `occ`'s live-plane mask, window
+/// blocks dead in its per-block occupancy, and columns dead in
+/// `pos_live`/`neg_live` must be all-zero — as [`crate::pack_window_planes`],
+/// [`WindowOcc::of_planes`] and [`ColMask::of`] record them (all-live
+/// records are always valid). They are skipped as shortcuts only: their
+/// count-0 conversions fold into the ledger in closed form, so every
+/// result equals a dense conversion of every slot.
+///
+/// `visitor` sees each chunk's raw counts before the lookup (see
+/// [`CountVisitor`]); pass [`NoVisit`] for the plain conversion.
 ///
 /// `tier` selects the implementation, with the same runtime feature check
 /// as the popcount kernel; every tier returns bit-identical results.
 ///
 /// # Panics
 ///
-/// Panics when `cols` is not a whole number of outputs, a buffer is
-/// shorter than the tile, `occ` does not cover the planes and windows, a
-/// mask does not cover `cols`, or the host lacks `tier`'s CPU features.
-/// A live count beyond the table — a slot the kernel left unwritten —
-/// panics in the segment walk; the register table cannot read out of
-/// bounds (it indexes registers, not memory) and checks it in debug builds
-/// only.
-// no_alloc: the decode runs once per subarray of every tile
+/// Panics when the pair's shapes disagree, a plane's shape does not match
+/// the tile, the plane count differs from the table's, the array is taller
+/// than the table, `cols` is not a whole number of outputs, a range is out
+/// of bounds, `acc` is shorter than the tile, `occ` or a mask does not
+/// cover the tile, or the host lacks `tier`'s CPU features. A visited
+/// count past the table panics on the row-chunk path (its index check);
+/// the register table cannot read out of bounds (it indexes registers, not
+/// memory) and checks it in debug builds only.
+// no_alloc: the conversion runs once per subarray of every tile
 #[allow(clippy::too_many_arguments)]
-pub fn decode_diff_tile_into(
+pub fn convert_diff_tile_into<V: CountVisitor>(
     tier: KernelTier,
     table: &DecodeTable,
+    pos: &BitMatrix,
+    neg: &BitMatrix,
+    planes: &[BitMatrix],
     occ: &WindowOcc,
     pos_live: &ColMask,
     neg_live: &ColMask,
     cols: Range<usize>,
     windows: Range<usize>,
-    counts_pos: &[u32],
-    counts_neg: &[u32],
+    visitor: &mut V,
     acc: &mut [i64],
 ) -> u64 {
-    let (planes, slices) = (table.planes, table.slices);
-    assert!(cols.start <= cols.end && windows.start <= windows.end, "decode range reversed");
-    let (nc, nw) = (cols.end - cols.start, windows.end - windows.start);
-    assert!(nc == 0 || (slices > 0 && nc % slices == 0), "decode columns must cover whole outputs");
-    assert!(occ.covers(planes, windows.end), "occupancy does not cover the tile");
+    let slices = table.slices;
+    assert_eq!(pos.rows(), neg.rows(), "differential pair row mismatch");
+    assert_eq!(pos.cols(), neg.cols(), "differential pair column mismatch");
+    assert!(cols.start <= cols.end && cols.end <= pos.cols(), "column tile out of range");
+    assert!(windows.start <= windows.end, "window tile range reversed");
+    assert_eq!(planes.len(), table.planes, "one input bit-plane per table plane");
     assert!(
-        counts_pos.len() >= planes * nc * nw && counts_neg.len() >= planes * nc * nw,
-        "count buffer shorter than the tile"
+        planes.iter().all(|pl| pl.rows() == pos.rows() && windows.end <= pl.cols()),
+        "input plane does not match the tile"
     );
+    assert!(pos.rows() <= table.rows(), "the table must cover every count of the array");
+    let (nc, nw) = (cols.end - cols.start, windows.end - windows.start);
+    assert!(nc == 0 || (slices > 0 && nc % slices == 0), "tile columns must cover whole outputs");
+    assert!(occ.covers(planes.len(), windows.end), "occupancy does not cover the tile");
     let outputs = nc.checked_div(slices).unwrap_or(0);
     assert!(acc.len() >= outputs * nw, "accumulator shorter than the tile");
     assert!(
@@ -182,103 +270,137 @@ pub fn decode_diff_tile_into(
         tier.name(),
         cpu_feature_summary()
     );
-    if planes * nc * nw == 0 {
+    if planes.len() * nc * nw == 0 {
         return 0;
     }
+    let t = ConvertTile { table, pos, neg, planes, occ, pos_live, neg_live, cols, windows };
     match tier {
+        KernelTier::Scalar => convert_wpc::<ScalarRows, V>(&t, visitor, acc),
         #[cfg(target_arch = "x86_64")]
-        KernelTier::Avx512 if table.register_eligible() => super::simd::decode_registers_avx512(
-            table, occ, pos_live, neg_live, cols, windows, counts_pos, counts_neg, acc,
-        ),
-        _ => decode_segments(
-            table, occ, pos_live, neg_live, cols, windows, counts_pos, counts_neg, acc,
-        ),
+        KernelTier::Avx2 => convert_wpc::<super::simd::Avx2Rows, V>(&t, visitor, acc),
+        #[cfg(target_arch = "x86_64")]
+        KernelTier::Avx512 if table.register_eligible() && pos.words_per_col <= 2 => {
+            super::simd::convert_registers_avx512(&t, visitor, acc)
+        }
+        #[cfg(target_arch = "x86_64")]
+        KernelTier::Avx512 => convert_wpc::<super::simd::Avx512Rows, V>(&t, visitor, acc),
+        #[cfg(target_arch = "aarch64")]
+        KernelTier::Neon => convert_wpc::<super::simd::NeonRows, V>(&t, visitor, acc),
+        // tiers of other architectures: `available()` returned false above
+        #[allow(unreachable_patterns)]
+        _ => unreachable!("tier availability checked above"),
     }
 }
 
-/// The segment-walking decode: per (plane, slice) row, the tile's window
+/// Monomorphises the row-chunk path per column word count, as the tile
+/// kernel does (`WPC == 0` is the dynamic-length escape hatch).
+// no_alloc: dispatch of the per-tile row-chunk conversion
+fn convert_wpc<K: RowKernels, V: CountVisitor>(
+    t: &ConvertTile<'_>,
+    visitor: &mut V,
+    acc: &mut [i64],
+) -> u64 {
+    match t.pos.words_per_col {
+        1 => convert_rows::<1, K, V>(t, visitor, acc),
+        2 => convert_rows::<2, K, V>(t, visitor, acc),
+        4 => convert_rows::<4, K, V>(t, visitor, acc),
+        _ => convert_rows::<0, K, V>(t, visitor, acc),
+    }
+}
+
+/// The row-chunk conversion: per (plane, column) row, the tile's window
 /// range as maximal same-liveness runs ([`WindowOcc::next_segment`]);
-/// rows whose range is fully live run once over it. Dead rows and dead
-/// runs fold their count-0 conversions into the ledger in closed form.
-// no_alloc: per-subarray decode of every tile
-#[allow(clippy::too_many_arguments)]
-fn decode_segments(
-    table: &DecodeTable,
-    occ: &WindowOcc,
-    pos_live: &ColMask,
-    neg_live: &ColMask,
-    cols: Range<usize>,
-    windows: Range<usize>,
-    counts_pos: &[u32],
-    counts_neg: &[u32],
+/// rows whose range is fully live run once over it. Live runs are counted
+/// by the tier's row kernel into a stack chunk of at most [`ROW_CHUNK`]
+/// windows per side and decoded from it. Dead rows and dead runs fold
+/// their count-0 conversions into the ledger in closed form.
+// no_alloc: per-subarray conversion of every tile
+fn convert_rows<const WPC: usize, K: RowKernels, V: CountVisitor>(
+    t: &ConvertTile<'_>,
+    visitor: &mut V,
     acc: &mut [i64],
 ) -> u64 {
     const OPS: u32 = DecodeTable::OPS_SHIFT;
     const LSB: u32 = DecodeTable::LSB_MASK;
-    let (planes, slices) = (table.planes, table.slices);
-    let (nc, nw) = (cols.end - cols.start, windows.end - windows.start);
-    let entries = table.entries();
+    let (slices, wpc) = (t.table.slices, t.pos.words_per_col);
+    debug_assert!(WPC == 0 || WPC == wpc, "const word count must match the matrix");
+    let (w_start, w_end) = (t.windows.start, t.windows.end);
+    let nw = w_end - w_start;
+    let entries = t.table.entries();
     let ops0 = u64::from(entries[0] >> OPS);
     let lsb0 = i64::from(entries[0] & LSB);
+    let (mut chunk_p, mut chunk_n) = ([0u32; ROW_CHUNK], [0u32; ROW_CHUNK]);
     let mut ops = 0;
-    for p in 0..planes {
-        let plane_dead = !occ.plane_live(p);
+    for (p, plane) in t.planes.iter().enumerate() {
+        // an active visitor sees every slot: its rows run dense
+        let plane_dead = !V::ACTIVE && !t.occ.plane_live(p);
         // fully-live rows (the dense common case) skip segmentation
-        let fully = !plane_dead && occ.range_fully_live(p, windows.start, windows.end);
-        for oc in 0..nc {
-            let col = cols.start + oc;
+        let fully = V::ACTIVE || (!plane_dead && t.occ.range_fully_live(p, w_start, w_end));
+        for (oc, col) in t.cols.clone().enumerate() {
             let (o, alpha) = (oc / slices, oc % slices);
             let shift = (alpha + p) as u32;
-            let (pl, nl) = (pos_live.is_live(col), neg_live.is_live(col));
+            let pl = V::ACTIVE || t.pos_live.is_live(col);
+            let nl = V::ACTIVE || t.neg_live.is_live(col);
             if plane_dead || (!pl && !nl) {
                 // every count of the row is 0: the decoded difference is
                 // exactly 0 and each conversion costs `ops0`
                 ops += 2 * ops0 * nw as u64;
                 continue;
             }
-            let base = (p * nc + oc) * nw;
-            let arow = &mut acc[o * nw..(o + 1) * nw];
             // the dead side of a single-sided row reads count 0 everywhere
             if pl != nl {
                 ops += ops0 * nw as u64;
             }
-            let mut w = windows.start;
-            while w < windows.end {
+            let ap = &t.pos.words[col * wpc..(col + 1) * wpc];
+            let an = &t.neg.words[col * wpc..(col + 1) * wpc];
+            let arow = &mut acc[o * nw..(o + 1) * nw];
+            let mut w = w_start;
+            while w < w_end {
                 let (we, seg_live) =
-                    if fully { (windows.end, true) } else { occ.next_segment(p, w, windows.end) };
-                let (lo, len) = (w - windows.start, we - w);
-                w = we;
+                    if fully { (w_end, true) } else { t.occ.next_segment(p, w, w_end) };
                 if !seg_live {
                     let sides = if pl && nl { 2 } else { 1 };
-                    ops += sides * ops0 * len as u64;
+                    ops += sides * ops0 * (we - w) as u64;
+                    w = we;
                     continue;
                 }
-                let aseg = &mut arow[lo..lo + len];
-                let cps = &counts_pos[base + lo..base + lo + len];
-                let cns = &counts_neg[base + lo..base + lo + len];
-                match (pl, nl) {
-                    (true, true) => {
-                        for ((a, &cp), &cn) in aseg.iter_mut().zip(cps).zip(cns) {
-                            let (ep, en) = (entries[cp as usize], entries[cn as usize]);
-                            ops += u64::from((ep >> OPS) + (en >> OPS));
-                            *a += (i64::from(ep & LSB) - i64::from(en & LSB)) << shift;
+                while w < we {
+                    let len = (we - w).min(ROW_CHUNK);
+                    let pw = &plane.words[w * wpc..(w + len) * wpc];
+                    let aseg = &mut arow[w - w_start..w - w_start + len];
+                    let (cps, cns) = (&mut chunk_p[..len], &mut chunk_n[..len]);
+                    match (pl, nl) {
+                        (true, true) => {
+                            K::diff_row::<WPC>(ap, an, pw, wpc, cps, cns);
+                            if V::ACTIVE {
+                                visitor.visit(0, p, col, w, cps);
+                                visitor.visit(1, p, col, w, cns);
+                            }
+                            for ((a, &cp), &cn) in aseg.iter_mut().zip(&*cps).zip(&*cns) {
+                                let (ep, en) = (entries[cp as usize], entries[cn as usize]);
+                                ops += u64::from((ep >> OPS) + (en >> OPS));
+                                *a += (i64::from(ep & LSB) - i64::from(en & LSB)) << shift;
+                            }
                         }
-                    }
-                    (true, false) => {
-                        for (a, &cp) in aseg.iter_mut().zip(cps) {
-                            let ep = entries[cp as usize];
-                            ops += u64::from(ep >> OPS);
-                            *a += (i64::from(ep & LSB) - lsb0) << shift;
+                        (true, false) => {
+                            K::single_row::<WPC>(ap, pw, wpc, cps);
+                            for (a, &cp) in aseg.iter_mut().zip(&*cps) {
+                                let ep = entries[cp as usize];
+                                ops += u64::from(ep >> OPS);
+                                *a += (i64::from(ep & LSB) - lsb0) << shift;
+                            }
                         }
-                    }
-                    (false, true) => {
-                        for (a, &cn) in aseg.iter_mut().zip(cns) {
-                            let en = entries[cn as usize];
-                            ops += u64::from(en >> OPS);
-                            *a += (lsb0 - i64::from(en & LSB)) << shift;
+                        (false, true) => {
+                            K::single_row::<WPC>(an, pw, wpc, cns);
+                            for (a, &cn) in aseg.iter_mut().zip(&*cns) {
+                                let en = entries[cn as usize];
+                                ops += u64::from(en >> OPS);
+                                *a += (lsb0 - i64::from(en & LSB)) << shift;
+                            }
                         }
+                        (false, false) => unreachable!("dead rows fold above"),
                     }
-                    (false, false) => unreachable!("dead rows fold above"),
+                    w += len;
                 }
             }
         }
@@ -289,7 +411,7 @@ fn decode_segments(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::WINDOW_BLOCK;
+    use crate::kernel::{mvm_diff_tile_into, WINDOW_BLOCK};
     use proptest::prelude::*;
 
     fn lcg(seed: u64) -> impl FnMut(u64) -> u64 {
@@ -307,148 +429,322 @@ mod tests {
             .collect()
     }
 
-    /// A skipped slot the kernel left unwritten: any read of it would
-    /// decode garbage (or panic in the segment walk).
-    const POISON: u32 = u32::MAX;
+    /// A slot-keyed hash, so a visitor's draws do not depend on the order
+    /// chunks arrive in.
+    fn slot_key(side: usize, plane: usize, col: usize, w: usize) -> u64 {
+        [side, plane, col, w]
+            .iter()
+            .fold(0x5EED_u64, |h, &x| (h ^ x as u64).wrapping_mul(0x100_0000_01B3).rotate_left(29))
+    }
+
+    /// The dense-round visitor of the test: every raw count into a
+    /// histogram, then a keyed perturbation of ±2 clamped to the table —
+    /// the engine's tally-then-noise order.
+    struct TallyPerturb {
+        rows: u32,
+        hist: Vec<u64>,
+    }
+
+    impl TallyPerturb {
+        fn apply(&mut self, side: usize, plane: usize, col: usize, w: usize, c: u32) -> u32 {
+            self.hist[c as usize] += 1;
+            let jitter = (slot_key(side, plane, col, w) % 5) as u32;
+            (c + jitter).saturating_sub(2).min(self.rows)
+        }
+    }
+
+    impl CountVisitor for TallyPerturb {
+        fn visit(&mut self, side: usize, plane: usize, col: usize, w0: usize, counts: &mut [u32]) {
+            for (i, c) in counts.iter_mut().enumerate() {
+                *c = self.apply(side, plane, col, w0 + i, *c);
+            }
+        }
+    }
+
+    /// One random differential tile with its planes, occupancy and masks.
+    struct Fixture {
+        table: DecodeTable,
+        pos: BitMatrix,
+        neg: BitMatrix,
+        planes: Vec<BitMatrix>,
+        occ: WindowOcc,
+        pos_live: ColMask,
+        neg_live: ColMask,
+        cols: Range<usize>,
+        windows: Range<usize>,
+    }
+
+    impl Fixture {
+        fn convert<V: CountVisitor>(&self, tier: KernelTier, v: &mut V, acc: &mut [i64]) -> u64 {
+            convert_diff_tile_into(
+                tier,
+                &self.table,
+                &self.pos,
+                &self.neg,
+                &self.planes,
+                &self.occ,
+                &self.pos_live,
+                &self.neg_live,
+                self.cols.clone(),
+                self.windows.clone(),
+                v,
+                acc,
+            )
+        }
+
+        /// The naive in-test sum over `[plane][column][window]` counts of
+        /// both sides: every slot through the table, shift-added.
+        fn naive_sum(&self, cp: &[u32], cn: &[u32], acc: &mut [i64]) -> u64 {
+            let entries = self.table.entries();
+            let (nc, nw, slices) = (self.cols.len(), self.windows.len(), self.table.slices);
+            let mut ops = 0;
+            for (i, (&p_count, &n_count)) in cp.iter().zip(cn).enumerate() {
+                let (row, wi) = (i / nw, i % nw);
+                let (p, oc) = (row / nc, row % nc);
+                let (ep, en) = (entries[p_count as usize], entries[n_count as usize]);
+                ops += u64::from(ep >> DecodeTable::OPS_SHIFT)
+                    + u64::from(en >> DecodeTable::OPS_SHIFT);
+                let d =
+                    i64::from(ep & DecodeTable::LSB_MASK) - i64::from(en & DecodeTable::LSB_MASK);
+                acc[(oc / slices) * nw + wi] += d << (oc % slices + p);
+            }
+            ops
+        }
+    }
 
     proptest! {
-        /// Every host tier's decode equals the scalar segment walk —
-        /// accumulator sums and ledger — on random tables (register-eligible
-        /// or not), random plane/block occupancy (with and without the
-        /// block record forced live), random column masks on both sides,
-        /// and ragged tiles that start mid-block and end mid-chunk. Slots
-        /// the kernel would skip hold poison, so a decode that reads one
-        /// diverges.
+        /// Every host tier's fused conversion equals the oracle — counts
+        /// from the scalar reference kernel, then a naive LUT sum — on
+        /// accumulator sums and ledger. Strata: array heights of 1–5 words
+        /// per column (40 … 300 rows; 129 and up are never register
+        /// tables); ragged tiles (short, starting mid-block, ending
+        /// mid-chunk, not a multiple of 4 windows); dead planes, dead
+        /// window blocks and dead columns on either side; saturated
+        /// columns and planes, so `count == rows` hits the register
+        /// table's `top` blend; magnitudes past the `i32` row bound
+        /// (the row-chunk fallback on AVX-512); and dense rounds, where a
+        /// tally-plus-perturb visitor must see exactly the slots
+        /// `mvm_diff_tile_into` writes, with the same result.
         #[test]
-        fn decode_tiers_match_the_segment_walk(
-            rows_sel in 0usize..4,
+        fn fused_conversion_matches_the_oracle(
+            rows_sel in 0usize..7,
             planes in 1usize..9,
             slices in 1usize..9,
             outputs in 1usize..4,
-            n in 1usize..80,
-            w0_sel in 0usize..80,
+            shape in 0usize..3,
+            sparse in 0usize..4,
+            saturate in proptest::bool::ANY,
             wide in proptest::bool::ANY,
-            fill_blocks in proptest::bool::ANY,
+            dense in proptest::bool::ANY,
+            loose in proptest::bool::ANY,
             seed in 0u64..1_000_000,
         ) {
-            let rows = [40usize, 127, 128, 200][rows_sel];
+            let rows = [40usize, 64, 127, 128, 129, 200, 300][rows_sel];
             let mut next = lcg(seed);
+            // tile windows: short; mid-block start with a ragged, odd end
+            // inside a 16-lane chunk; anywhere
+            let (w0, nw) = match shape {
+                0 => (next(8) as usize, 1 + next(15) as usize),
+                1 => (
+                    WINDOW_BLOCK * next(4) as usize + 1 + next(3) as usize,
+                    16 * (1 + next(3) as usize) + 2 * next(7) as usize + 1,
+                ),
+                _ => (next(40) as usize, 1 + next(90) as usize),
+            };
+            let n = w0 + nw + next(5) as usize;
+
             // `wide` magnitudes overflow the i32 row bound for most
-            // geometries, pinning the segment-walk fallback
+            // geometries, pinning the row-chunk fallback
             let max_lsb = if wide { 1 << 20 } else { 256 };
             let entries: Vec<u32> = (0..=rows)
                 .map(|_| (next(max_lsb) as u32) | ((next(16) as u32) << DecodeTable::OPS_SHIFT))
                 .collect();
             let table = DecodeTable::new(entries, planes, slices);
 
-            // window occupancy: random codes, some planes fully dead
-            let mut occ = WindowOcc::default();
-            occ.reset(planes, n);
-            let live_planes = next(1 << planes) | 1;
-            for w in 0..n {
-                // zero runs in block-sized stretches, like post-ReLU maps
-                if (w / WINDOW_BLOCK) % 3 != 1 {
-                    occ.note(w, (next(256) & live_planes) as u8);
-                }
-            }
-            occ.finish();
-            if fill_blocks {
-                occ.fill_blocks_live();
-            }
-
-            let o_total = outputs + 1;
-            let ncols = o_total * slices;
-            let mask = |next: &mut dyn FnMut(u64) -> u64| {
-                let mut m = ColMask::all_live(ncols);
+            // weight columns: output 0 sits left of the tile; dead columns
+            // on either side (sparse ≥ 1), all-ones columns when saturating
+            let ncols = (outputs + 1) * slices;
+            let mut side = |salt: u64| {
+                let mut m = BitMatrix::zeros(rows, ncols);
                 for c in 0..ncols {
-                    if next(4) == 0 {
-                        m.words[c / 64] &= !(1u64 << (c % 64));
+                    let kind = next(6);
+                    // the tile's first column saturates whenever asked to
+                    let full = saturate && (kind == 1 || c == slices);
+                    if !full && sparse >= 1 && kind == 0 {
+                        continue;
+                    }
+                    for r in 0..rows {
+                        if full || next(4) == salt {
+                            m.set(r, c, true);
+                        }
                     }
                 }
                 m
             };
-            let pos_live = mask(&mut next);
-            let neg_live = mask(&mut next);
+            let (pos, neg) = (side(0), side(1));
 
-            // a tile of `outputs` outputs starting at output 1, over a
-            // window range starting anywhere
-            let cols = slices..(outputs + 1) * slices;
-            let w0 = w0_sel % n;
-            let windows = w0..n;
-            let (nc, nw) = (cols.len(), windows.len());
-            let mut counts_pos = vec![POISON; planes * nc * nw];
-            let mut counts_neg = vec![POISON; planes * nc * nw];
-            for p in 0..planes {
-                for ci in 0..nc {
-                    for wi in 0..nw {
-                        let live = occ.plane_live(p) && occ.block_live(p, (w0 + wi) / WINDOW_BLOCK);
-                        let i = (p * nc + ci) * nw + wi;
-                        if live && pos_live.is_live(cols.start + ci) {
-                            counts_pos[i] = next(rows as u64 + 1) as u32;
+            // input planes: dead planes (sparse ≥ 2), dead block runs like
+            // post-ReLU maps (sparse ≥ 3), all-ones planes when saturating
+            let live_planes = next(1 << planes) | 1;
+            let planes: Vec<BitMatrix> = (0..planes)
+                .map(|p| {
+                    let mut m = BitMatrix::zeros(rows, n);
+                    if sparse >= 2 && live_planes >> p & 1 == 0 {
+                        return m;
+                    }
+                    let full = saturate && p % 2 == 0;
+                    for w in 0..n {
+                        if !full && sparse >= 3 && (w / WINDOW_BLOCK) % 3 == 1 {
+                            continue;
                         }
-                        if live && neg_live.is_live(cols.start + ci) {
-                            counts_neg[i] = next(rows as u64 + 1) as u32;
+                        for r in 0..rows {
+                            if full || next(3) == 0 {
+                                m.set(r, w, true);
+                            }
                         }
                     }
-                }
-            }
-            let start: Vec<i64> = (0..outputs * nw).map(|_| next(1000) as i64 - 500).collect();
+                    m
+                })
+                .collect();
 
+            // the packer's occupancy and tight column masks — or the
+            // always-valid loose records, which skip nothing
+            let mut occ = WindowOcc::of_planes(&planes);
+            let (pos_live, neg_live) = if loose {
+                occ.fill_all_live();
+                (ColMask::all_live(ncols), ColMask::all_live(ncols))
+            } else {
+                (ColMask::of(&pos), ColMask::of(&neg))
+            };
+            let f = Fixture {
+                table, pos, neg, planes, occ, pos_live, neg_live,
+                cols: slices..ncols, windows: w0..w0 + nw,
+            };
+
+            let volume = f.planes.len() * f.cols.len() * nw;
+            let start: Vec<i64> = (0..outputs * nw).map(|_| next(1000) as i64 - 500).collect();
+            let (mut cp, mut cn) = (vec![0u32; volume], vec![0u32; volume]);
             let mut want = start.clone();
-            let want_ops = decode_diff_tile_into(
-                KernelTier::Scalar, &table, &occ, &pos_live, &neg_live,
-                cols.clone(), windows.clone(), &counts_pos, &counts_neg, &mut want,
-            );
+            let mut want_hist = vec![0u64; rows + 1];
+            let saturated;
+            if dense {
+                // the count oracle with skipping off, every slot through
+                // the same visitor
+                let all = ColMask::all_live(ncols);
+                mvm_diff_tile_into(
+                    KernelTier::Scalar, &f.pos, &f.neg, &f.planes,
+                    &WindowOcc::all_live(f.planes.len(), n), &all, &all,
+                    f.cols.clone(), f.windows.clone(), &mut cp, &mut cn,
+                );
+                saturated = cp.iter().chain(&cn).any(|&c| c as usize == rows);
+                let mut v = TallyPerturb { rows: rows as u32, hist: vec![0; rows + 1] };
+                let nc = f.cols.len();
+                for (side, counts) in [(0, &mut cp), (1, &mut cn)] {
+                    for (i, c) in counts.iter_mut().enumerate() {
+                        let (row, wi) = (i / nw, i % nw);
+                        let col = f.cols.start + row % nc;
+                        *c = v.apply(side, row / nc, col, w0 + wi, *c);
+                    }
+                }
+                want_hist = v.hist;
+            } else {
+                f.pos.mvm_planes_tile_into(&f.planes, f.cols.clone(), f.windows.clone(), &mut cp);
+                f.neg.mvm_planes_tile_into(&f.planes, f.cols.clone(), f.windows.clone(), &mut cn);
+                saturated = cp.iter().chain(&cn).any(|&c| c as usize == rows);
+            }
+            let want_ops = f.naive_sum(&cp, &cn, &mut want);
+            prop_assert!(saturated || !saturate, "a saturated tile must count `rows`");
+
             for tier in host_tiers() {
                 let mut got = start.clone();
-                let ops = decode_diff_tile_into(
-                    tier, &table, &occ, &pos_live, &neg_live,
-                    cols.clone(), windows.clone(), &counts_pos, &counts_neg, &mut got,
-                );
+                let ops = if dense {
+                    let mut v = TallyPerturb { rows: rows as u32, hist: vec![0; rows + 1] };
+                    let ops = f.convert(tier, &mut v, &mut got);
+                    prop_assert_eq!(&v.hist, &want_hist, "tally diverged on tier {}", tier.name());
+                    ops
+                } else {
+                    f.convert(tier, &mut NoVisit, &mut got)
+                };
                 prop_assert_eq!(&got, &want, "sums diverged on tier {}", tier.name());
                 prop_assert_eq!(ops, want_ops, "ops diverged on tier {}", tier.name());
             }
         }
     }
 
-    /// Debug builds catch a live count past the table on the register
-    /// decode, which cannot fault on it (the segment walk's index check
-    /// catches it in every build).
-    #[cfg(debug_assertions)]
-    #[test]
-    fn register_decode_rejects_a_live_count_past_the_table() {
-        if !KernelTier::Avx512.available() {
-            return;
+    /// A visitor that pushes the last count of every chunk one past the
+    /// table.
+    struct PastTheTable(u32);
+
+    impl CountVisitor for PastTheTable {
+        fn visit(&mut self, _: usize, _: usize, _: usize, _: usize, counts: &mut [u32]) {
+            if let Some(c) = counts.last_mut() {
+                *c = self.0 + 1;
+            }
         }
+    }
+
+    /// A 128-row, 2-plane, 2-slice tile of 20 windows with every cell set.
+    fn saturated_fixture() -> Fixture {
         let (rows, planes, slices, nw) = (128usize, 2, 2, 20);
-        let table = DecodeTable::new(vec![1 << DecodeTable::OPS_SHIFT; rows + 1], planes, slices);
-        assert!(table.register_eligible());
-        let occ = WindowOcc::all_live(planes, nw);
-        let live = ColMask::all_live(slices);
-        let mut counts = vec![rows as u32; planes * slices * nw];
-        counts[planes * slices * nw - 1] = rows as u32 + 1;
-        let mut acc = vec![0i64; nw];
-        let decode = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            decode_diff_tile_into(
-                KernelTier::Avx512,
-                &table,
-                &occ,
-                &live,
-                &live,
-                0..slices,
-                0..nw,
-                &counts,
-                &counts,
-                &mut acc,
-            )
-        }));
-        let payload = decode.expect_err("a count past the table must panic");
-        let msg = payload
+        let ones = |cols: usize| {
+            let mut m = BitMatrix::zeros(rows, cols);
+            for c in 0..cols {
+                for r in 0..rows {
+                    m.set(r, c, true);
+                }
+            }
+            m
+        };
+        Fixture {
+            table: DecodeTable::new(vec![1 << DecodeTable::OPS_SHIFT; rows + 1], planes, slices),
+            pos: ones(slices),
+            neg: ones(slices),
+            planes: (0..planes).map(|_| ones(nw)).collect(),
+            occ: WindowOcc::all_live(planes, nw),
+            pos_live: ColMask::all_live(slices),
+            neg_live: ColMask::all_live(slices),
+            cols: 0..slices,
+            windows: 0..nw,
+        }
+    }
+
+    fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+        payload
             .downcast_ref::<&str>()
             .map(|s| s.to_string())
             .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_default();
-        assert!(msg.contains("kernel must write every live slot"), "{msg}");
+            .unwrap_or_default()
+    }
+
+    /// Debug builds catch a visited count past the table on the register
+    /// path, which cannot fault on it.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn register_conversion_rejects_a_count_past_the_table() {
+        if !KernelTier::Avx512.available() {
+            return;
+        }
+        let f = saturated_fixture();
+        assert!(f.table.register_eligible());
+        let mut acc = vec![0i64; f.windows.len()];
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            f.convert(KernelTier::Avx512, &mut PastTheTable(128), &mut acc)
+        }));
+        let msg = panic_message(run.expect_err("a count past the table must panic"));
+        assert!(msg.contains("count past the conversion table"), "{msg}");
+    }
+
+    /// The row-chunk path's table index check catches a visited count past
+    /// the table in every build.
+    #[test]
+    fn row_chunk_conversion_rejects_a_count_past_the_table() {
+        let f = saturated_fixture();
+        let mut acc = vec![0i64; f.windows.len()];
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            f.convert(KernelTier::Scalar, &mut PastTheTable(128), &mut acc)
+        }));
+        let msg = panic_message(run.expect_err("a count past the table must panic"));
+        assert!(msg.contains("out of bounds"), "{msg}");
     }
 
     #[test]
@@ -459,13 +755,13 @@ mod tests {
         assert!(DecodeTable::new(ideal(40), 8, 8).register_eligible());
         // one entry too many for the registers
         assert!(!DecodeTable::new(ideal(129), 8, 8).register_eligible());
-        // magnitudes whose row sum could overflow an i32 lane
-        let wide: Vec<u32> = (0..=128u32).map(|c| c << 9).collect();
-        assert!(!DecodeTable::new(wide.clone(), 8, 8).register_eligible());
-        assert!(DecodeTable::new(wide, 4, 8).register_eligible());
-        // 33025 · 255 · 255 < 2^31 ≤ 33026 · 255 · 255
-        assert!(DecodeTable::new(vec![0, 33025], 8, 8).register_eligible());
-        assert!(!DecodeTable::new(vec![0, 33026], 8, 8).register_eligible());
+        // magnitudes past the two byte planes (2^15 and up)
+        assert!(DecodeTable::new(vec![0, (1 << 15) - 1], 8, 8).register_eligible());
+        assert!(!DecodeTable::new(vec![0, 1 << 15], 1, 1).register_eligible());
+        // magnitudes whose row sum could overflow an i32 lane:
+        // 16480 · 511 · 255 < 2^31 ≤ 16481 · 511 · 255
+        assert!(DecodeTable::new(vec![0, 16480], 9, 8).register_eligible());
+        assert!(!DecodeTable::new(vec![0, 16481], 9, 8).register_eligible());
     }
 
     #[test]

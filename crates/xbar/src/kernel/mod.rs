@@ -1,14 +1,15 @@
 //! The vectorised popcount kernel layer — every `AND`+`POPCNT` in the
 //! workspace funnels through the primitives in this module, and so does
-//! the conversion decode that turns the counts into partial sums.
+//! the conversion that turns the counts into partial sums.
 //!
 //! With 1-bit cells and 1-bit DACs an MVM cycle per bit line is
 //! `popcount(cells & inputs)` (paper Section II-C), so this *is* the
 //! accelerator model's inner loop and dominates simulation cost. Four
-//! layers of specialisation live here, plus the decode primitive
-//! [`decode_diff_tile_into`] (the `decode` module: packed-LUT conversion,
-//! shift-add and the ops ledger per subarray tile, from vector registers
-//! on the AVX-512 tier):
+//! layers of specialisation live here, plus the engine's conversion
+//! primitive [`convert_diff_tile_into`] (the `decode` module: the popcount
+//! fused with packed-LUT conversion, shift-add and the ops ledger per
+//! subarray tile, so no count leaves registers or a small stack chunk;
+//! from a register-held table on the AVX-512 tier):
 //!
 //! 1. **Shape-specialised word kernels** — [`and_popcount_words`] /
 //!    [`popcount_words`] dispatch on the word count so the common column
@@ -37,10 +38,12 @@
 //!    the kernel skip work whose count is 0 by construction — whole dead
 //!    planes, dead columns, and dead window *blocks inside a live
 //!    subarray* (post-ReLU activation maps are zero in spatially
-//!    correlated runs, not uniformly). Skipped output slots are **left
-//!    unwritten**; callers consult the same occupancy and fold the
-//!    count-0 conversions into their ledgers in closed form.
+//!    correlated runs, not uniformly). [`mvm_diff_tile_into`] leaves
+//!    skipped output slots **unwritten**; the conversion primitive folds
+//!    their count-0 conversions into its ledger in closed form.
 //!
+//! [`mvm_diff_tile_into`] (`u32` counts out) stays public as the count
+//! oracle of the conversion's tests and for tools that replay the kernel.
 //! The scalar kernel [`BitMatrix::mvm_planes_tile_into`] is deliberately
 //! *not* routed through these primitives: it stays an independent
 //! reference implementation the specialised paths are pinned against by
@@ -54,7 +57,7 @@ mod decode;
 mod simd;
 
 pub(crate) use decode::REGISTER_TABLE_ENTRIES;
-pub use decode::{decode_diff_tile_into, DecodeTable};
+pub use decode::{convert_diff_tile_into, CountVisitor, DecodeTable, NoVisit};
 pub use simd::{
     cpu_feature_summary, resolve_kernel, resolve_kernel_with, KernelConfigError, KernelSelect,
     KernelTier, KERNEL_ENV,
@@ -213,8 +216,8 @@ impl ColMask {
 /// the fused kernel can skip dead window runs *inside* a live subarray.
 pub const WINDOW_BLOCK: usize = 4;
 
-/// Windows one register-table decode step covers (16 `u32` lanes of a
-/// 512-bit vector).
+/// Windows one register-table conversion step covers (16 `u32` lanes of
+/// a 512-bit vector).
 const DECODE_LANES: usize = 16;
 
 /// Per-subarray input occupancy — the *dynamic* side of sparsity-aware
@@ -393,7 +396,7 @@ impl WindowOcc {
     /// plane `p`: bit `i` set ⇔ the block of window `w + i` is live. Blocks
     /// past the record's backing words read dead; the plane's own live bit
     /// is not consulted.
-    // no_alloc: per plane of every 16-window decode chunk
+    // no_alloc: per plane of every 16-window conversion chunk
     #[inline]
     pub(crate) fn window_lanes(&self, p: usize, w: usize) -> u32 {
         // lanes from any offset span at most this many blocks
@@ -439,8 +442,9 @@ impl WindowOcc {
     }
 }
 
-/// The per-tier row kernels the shared tile loop nest is monomorphised
-/// over: one differential and one single-sided row primitive, each
+/// The per-tier row kernels the shared tile loop nest and the row-chunk
+/// conversion are monomorphised over: one differential and one
+/// single-sided row primitive, each
 /// specialised per column word count (`WPC == 0` is the dynamic-length
 /// escape hatch). Implementations: scalar (this module) and the
 /// feature-gated SIMD tiers ([`simd`]).

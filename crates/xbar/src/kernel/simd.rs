@@ -1,13 +1,16 @@
 //! The SIMD kernel tier: tier selection, runtime CPU-feature detection,
-//! and the `target_feature`-gated row kernels behind
-//! [`mvm_diff_tile_into`](super::mvm_diff_tile_into).
+//! the `target_feature`-gated row kernels behind
+//! [`mvm_diff_tile_into`](super::mvm_diff_tile_into) and the row-chunk
+//! path of [`convert_diff_tile_into`](super::convert_diff_tile_into), and
+//! the AVX-512 register-table conversion.
 //!
 //! Three vector implementations exist, each bit-identical to the scalar
 //! reference paths:
 //!
-//! - **AVX-512** (`avx512f` + `avx512vpopcntdq` + `avx512vl`) — hardware
-//!   per-qword popcount (`vpopcntq`); the 128-row paper-default word
-//!   count processes 4 windows per 512-bit load.
+//! - **AVX-512** (`avx512f` + `avx512vpopcntdq` + `avx512vl`, plus
+//!   `avx512bw` + `avx512vbmi` for the register-table conversion's byte
+//!   permutes) — hardware per-qword popcount (`vpopcntq`); the 128-row
+//!   paper-default word count processes 4 windows per 512-bit load.
 //! - **AVX2** — the classic nibble-LUT popcount (`vpshufb` against a
 //!   16-entry bit-count table, horizontal byte sums via `vpsadbw`);
 //!   4 windows per iteration on the common word counts.
@@ -31,20 +34,22 @@
 //! `unsafe` block here wraps `target_feature`-gated intrinsic calls and
 //! nothing else. Soundness argument: the only callers are the tier
 //! dispatchers ([`super::mvm_diff_tile_into`] and
-//! [`super::decode_diff_tile_into`]), each of which asserts
+//! [`super::convert_diff_tile_into`]), each of which asserts
 //! [`KernelTier::available`] — i.e. the live CPU reports the required
 //! features — before dispatching, so a feature-gated function is never
-//! entered on a host lacking its features. All loads and
-//! stores are unaligned-tolerant (`loadu`/`storeu`) against slices whose
+//! entered on a host lacking its features; the register-table shim
+//! re-asserts it together with the operand bounds its masked loads rely
+//! on. All loads and stores are unaligned-tolerant (`loadu`/`storeu`, or
+//! masked forms that suppress unselected lanes) against slices whose
 //! bounds the safe callers have already established.
 
 use serde::{Deserialize, Serialize};
 
+#[cfg(target_arch = "x86_64")]
+use super::decode::{ConvertTile, CountVisitor};
 use super::RowKernels;
 #[cfg(target_arch = "x86_64")]
-use super::{ColMask, DecodeTable, WindowOcc, REGISTER_TABLE_ENTRIES};
-#[cfg(target_arch = "x86_64")]
-use std::ops::Range;
+use super::REGISTER_TABLE_ENTRIES;
 
 /// A *requested* kernel implementation, as carried by configuration —
 /// resolved against the host CPU (and the `TRQ_KERNEL` environment
@@ -101,7 +106,8 @@ pub enum KernelTier {
     /// AVX2 nibble-LUT popcount lanes.
     Avx2,
     /// AVX-512 hardware popcount lanes (`avx512f` + `avx512vpopcntdq` +
-    /// `avx512vl`).
+    /// `avx512vl`), with the register-table conversion's byte permutes
+    /// (`avx512bw` + `avx512vbmi`).
     Avx512,
     /// NEON byte-popcount lanes (aarch64).
     Neon,
@@ -117,6 +123,8 @@ fn avx512_detected() -> bool {
     is_x86_feature_detected!("avx512f")
         && is_x86_feature_detected!("avx512vpopcntdq")
         && is_x86_feature_detected!("avx512vl")
+        && is_x86_feature_detected!("avx512bw")
+        && is_x86_feature_detected!("avx512vbmi")
 }
 
 impl KernelTier {
@@ -209,6 +217,12 @@ pub fn cpu_feature_summary() -> String {
         }
         if is_x86_feature_detected!("avx512vl") {
             feats.push("avx512vl");
+        }
+        if is_x86_feature_detected!("avx512bw") {
+            feats.push("avx512bw");
+        }
+        if is_x86_feature_detected!("avx512vbmi") {
+            feats.push("avx512vbmi");
         }
     }
     #[cfg(target_arch = "aarch64")]
@@ -358,48 +372,52 @@ impl RowKernels for Avx512Rows {
     }
 }
 
-/// The register-table conversion decode on the AVX-512 tier (see
-/// [`super::decode`] for the contract it shares with the segment walk).
+/// The register-table conversion on the AVX-512 tier (see
+/// [`super::decode`] for the contract it shares with the row-chunk path).
 ///
 /// # Panics
 ///
-/// Panics when the host lacks AVX-512 or `table` is not register-eligible.
-// no_alloc: dispatch shim of the per-tile register-table decode
+/// Panics when the host lacks AVX-512, `t.table` is not register-eligible,
+/// the arrays hold more than two words per column, or the tile's planes or
+/// accumulator do not cover it.
+// no_alloc: dispatch shim of the per-tile register-table conversion
 #[cfg(target_arch = "x86_64")]
-#[allow(unsafe_code, clippy::too_many_arguments)]
-pub(super) fn decode_registers_avx512(
-    table: &DecodeTable,
-    occ: &WindowOcc,
-    pos_live: &ColMask,
-    neg_live: &ColMask,
-    cols: Range<usize>,
-    windows: Range<usize>,
-    counts_pos: &[u32],
-    counts_neg: &[u32],
+#[allow(unsafe_code)]
+pub(super) fn convert_registers_avx512<V: CountVisitor>(
+    t: &ConvertTile<'_>,
+    visitor: &mut V,
     acc: &mut [i64],
 ) -> u64 {
-    assert!(KernelTier::Avx512.available(), "register decode needs the AVX-512 tier");
+    assert!(KernelTier::Avx512.available(), "register conversion needs the AVX-512 tier");
     assert!(
-        table.register_image().len() == REGISTER_TABLE_ENTRIES,
+        t.table.register_image().len() == 3 * REGISTER_TABLE_ENTRIES,
         "table is not register-eligible"
     );
-    let (planes, slices) = (table.planes(), table.slices());
-    let (nc, nw) = (cols.end - cols.start, windows.end - windows.start);
+    let (slices, wpc) = (t.table.slices(), t.pos.words_per_col);
+    assert!(wpc == 1 || wpc == 2, "register conversion takes one or two words per column");
     assert!(
-        counts_pos.len() >= planes * nc * nw
-            && counts_neg.len() >= planes * nc * nw
-            && acc.len() >= nc / slices * nw,
-        "decode buffers shorter than the tile"
+        t.planes.len() < 32
+            && t.planes.iter().all(|pl| pl.words_per_col == wpc && t.windows.end <= pl.cols())
+            && t.cols.end <= t.pos.cols()
+            && t.pos.cols() == t.neg.cols()
+            && t.pos.words_per_col == t.neg.words_per_col
+            && acc.len() >= t.cols.len() / slices * t.windows.len(),
+        "conversion operands do not cover the tile"
     );
-    // SAFETY: AVX-512 (which includes avx512f) was asserted available
-    // above. The body's memory accesses rest on the invariants asserted
-    // here: the register image holds exactly REGISTER_TABLE_ENTRIES
-    // entries (eight 16-entry loads), and the count buffers and the
-    // accumulator cover the tile volume its masked loads and stores index.
+    // SAFETY: the AVX-512 tier (avx512f + avx512vpopcntdq + avx512bw +
+    // avx512vbmi among its features) was asserted available above. The
+    // body's memory accesses rest on the invariants asserted here: the
+    // register image holds exactly three 128-byte planes (six 64-byte
+    // loads), every plane holds `wpc` words per
+    // column for every window of the tile (its masked loads touch only
+    // tile windows), fewer than 32 planes index the per-plane arrays, and
+    // the accumulator covers the tile its masked loads and stores index.
     unsafe {
-        avx512::decode_registers(
-            table, occ, pos_live, neg_live, cols, windows, counts_pos, counts_neg, acc,
-        )
+        if wpc == 1 {
+            avx512::convert_registers::<1, V>(t, visitor, acc)
+        } else {
+            avx512::convert_registers::<2, V>(t, visitor, acc)
+        }
     }
 }
 
@@ -738,170 +756,335 @@ mod avx2 {
 /// AVX-512 popcount lanes: hardware per-qword popcount (`vpopcntq` from
 /// `avx512vpopcntdq`; the 256-bit form additionally needs `avx512vl`).
 /// The 128-row paper-default word count processes 4 windows per 512-bit
-/// load.
+/// load. The register-table conversion adds byte permutes and byte
+/// blends (`avx512vbmi`, `avx512bw`).
 ///
-/// Every function is gated on
-/// `avx512f,avx512vpopcntdq,avx512vl` and therefore `unsafe` to call;
-/// the only callers are the tier dispatchers, which assert AVX-512
-/// availability first (see the module-level safety note).
+/// Every function is gated on a subset of the tier's features
+/// (`avx512f,avx512vpopcntdq,avx512vl,avx512bw,avx512vbmi`) and therefore
+/// `unsafe` to call; the only callers are the tier dispatchers, which
+/// assert AVX-512 availability first (see the module-level safety note).
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod avx512 {
-    use super::{ColMask, DecodeTable, WindowOcc};
+    use super::{ConvertTile, CountVisitor};
+    use crate::kernel::DecodeTable;
     use core::arch::x86_64::*;
-    use std::ops::Range;
 
-    /// Looks up the packed entry of each count lane in the register-held
-    /// table: `t[2j..2j+2]` hold entries `32j..32j+32`, so one two-register
-    /// permute per pair covers index bits 0–4, blends on bits 5 and 6 pick
-    /// the pair, and a last blend returns `top` where the count equals the
-    /// array height (entry 128 of a 128-row table). Only registers are
+    /// The byte permute that interleaves two count vectors into lookup
+    /// indices: lane `k` takes bytes `[pos, pos, neg, neg]` — byte `4k` of
+    /// the positive counts twice, then byte `4k` of the negative ones
+    /// (`64 + 4k` in the two-register index space).
+    const PAIR_INDEX: [u8; 64] = {
+        let mut index = [0u8; 64];
+        let mut k = 0;
+        while k < 16 {
+            let b = 4 * k as u8;
+            index[4 * k] = b;
+            index[4 * k + 1] = b;
+            index[4 * k + 2] = 64 + b;
+            index[4 * k + 3] = 64 + b;
+            k += 1;
+        }
+        index
+    };
+
+    /// The register-held conversion table: its three byte planes
+    /// (magnitude low byte, magnitude high byte, ops), 128 entries each in
+    /// two registers, and the entry of a count of 128 in the layout
+    /// [`lookup_pair`] returns.
+    struct RegisterTable {
+        lo: [__m512i; 2],
+        hi: [__m512i; 2],
+        ops: [__m512i; 2],
+        top_lsb: __m512i,
+        top_ops: __m512i,
+    }
+
+    /// Looks up both sides of 16 window lanes at once. `idx` holds per
+    /// dword lane the bytes `[pos, pos, neg, neg]` (the two counts, each
+    /// twice); one two-register byte permute per plane reads entries
+    /// `0..128` from the low 7 bits, and bit 7 — set only by a count of
+    /// 128 — blends in the top entry. Returns per lane the magnitude words
+    /// `lsb(pos) | lsb(neg) << 16` and the ops bytes
+    /// `[ops(pos), ops(pos), ops(neg), ops(neg)]`. Only registers are
     /// indexed — an out-of-range count picks some entry, never a stray
     /// memory read.
     // SAFETY: value intrinsics only — no memory access. `unsafe` comes
-    // solely from the avx512f gate, which every caller discharges: the
-    // only caller is `decode_registers`, entered after the tier dispatcher
-    // asserted AVX-512 availability.
-    // no_alloc: two lookups per (plane, slice) row and 16 windows
-    #[target_feature(enable = "avx512f")]
+    // solely from the target-feature gate, which every caller discharges:
+    // the only caller is `convert_registers`, entered after the dispatch
+    // shim asserted the AVX-512 tier available.
+    // no_alloc: one lookup per (plane, slice) row and 16 windows
+    #[target_feature(enable = "avx512f,avx512bw,avx512vbmi")]
     #[inline]
-    unsafe fn lookup(t: &[__m512i; 8], top: __m512i, rows: __m512i, idx: __m512i) -> __m512i {
-        let r0 = _mm512_permutex2var_epi32(t[0], idx, t[1]);
-        let r1 = _mm512_permutex2var_epi32(t[2], idx, t[3]);
-        let r2 = _mm512_permutex2var_epi32(t[4], idx, t[5]);
-        let r3 = _mm512_permutex2var_epi32(t[6], idx, t[7]);
-        let b5 = _mm512_test_epi32_mask(idx, _mm512_set1_epi32(32));
-        let b6 = _mm512_test_epi32_mask(idx, _mm512_set1_epi32(64));
-        let low = _mm512_mask_blend_epi32(b5, r0, r1);
-        let high = _mm512_mask_blend_epi32(b5, r2, r3);
-        let v = _mm512_mask_blend_epi32(b6, low, high);
-        _mm512_mask_blend_epi32(_mm512_cmpeq_epi32_mask(idx, rows), v, top)
+    unsafe fn lookup_pair(t: &RegisterTable, idx: __m512i) -> (__m512i, __m512i) {
+        let lo = _mm512_permutex2var_epi8(t.lo[0], idx, t.lo[1]);
+        let hi = _mm512_permutex2var_epi8(t.hi[0], idx, t.hi[1]);
+        let ops = _mm512_permutex2var_epi8(t.ops[0], idx, t.ops[1]);
+        // odd bytes from the high plane: [lo(p), hi(p), lo(n), hi(n)]
+        let lsb = _mm512_mask_blend_epi8(0xAAAA_AAAA_AAAA_AAAA, lo, hi);
+        let top = _mm512_movepi8_mask(idx);
+        (_mm512_mask_blend_epi8(top, lsb, t.top_lsb), _mm512_mask_blend_epi8(top, ops, t.top_ops))
     }
 
-    /// The register-table decode of one subarray tile: per 16-window chunk
-    /// and output row, every live (plane, slice) row's counts are masked
-    /// in (plane live ∧ window block live ∧ column live ∧ lane inside the
-    /// tile — everything else reads count 0), looked up, and summed into
-    /// one `i32` lane set, widened into the `i64` accumulator once; the ops
-    /// bytes sum in `u32` lanes and flush per output row.
-    // SAFETY: `unsafe` for the avx512f gate. Callers guarantee (the safe
-    // wrapper `decode_registers_avx512` asserts it) that AVX-512 is
-    // available, that `table.register_image()` holds 128 entries, and that
-    // `counts_pos`/`counts_neg` hold at least `planes · nc · nw` counts and
-    // `acc` at least `nc / slices · nw` sums.
-    // no_alloc: the register-table decode runs once per subarray of every tile
-    #[target_feature(enable = "avx512f")]
-    #[allow(clippy::too_many_arguments)]
-    pub(super) unsafe fn decode_registers(
-        table: &DecodeTable,
-        occ: &WindowOcc,
-        pos_live: &ColMask,
-        neg_live: &ColMask,
-        cols: Range<usize>,
-        windows: Range<usize>,
-        counts_pos: &[u32],
-        counts_neg: &[u32],
+    /// Doubles every bit of a 16-lane window mask into a 32-lane qword
+    /// mask: window `i` of a two-word column covers qwords `2i` and
+    /// `2i + 1`.
+    // no_alloc: once per live plane of every 16-window chunk
+    #[inline]
+    fn spread_pairs(m: u16) -> u32 {
+        let mut x = u32::from(m);
+        x = (x | x << 8) & 0x00FF_00FF;
+        x = (x | x << 4) & 0x0F0F_0F0F;
+        x = (x | x << 2) & 0x3333_3333;
+        x = (x | x << 1) & 0x5555_5555;
+        x | x << 1
+    }
+
+    /// The counts of one column against a chunk's plane words, compacted
+    /// to 16 `u32` lanes (window `i` in lane `i`). `pv` holds the plane's
+    /// words of 16 windows as `WPC · 2` vectors of 8 qwords — windows
+    /// 0–7 word by word, then windows 8–15 — and `a` the column's `WPC`
+    /// words; per-word popcounts of the same window add lane-wise, and one
+    /// `vpermt2d` takes the low dword of every qword of the two halves.
+    ///
+    /// # Safety
+    ///
+    /// The host must support `avx512f` and `avx512vpopcntdq`.
+    // SAFETY: value intrinsics only — no memory access. `unsafe` comes
+    // solely from the target-feature gate, which every caller discharges:
+    // the only caller is `convert_registers`, entered after the dispatch
+    // shim asserted the AVX-512 tier available.
+    // no_alloc: two count vectors per (plane, slice) row and 16 windows
+    #[target_feature(enable = "avx512f,avx512vpopcntdq")]
+    #[inline]
+    unsafe fn count_lanes<const WPC: usize>(
+        pv: &[__m512i; 4],
+        a: &[u64],
+        even: __m512i,
+    ) -> __m512i {
+        let a0 = _mm512_set1_epi64(a[0] as i64);
+        if WPC == 1 {
+            let lo = _mm512_popcnt_epi64(_mm512_and_si512(pv[0], a0));
+            let hi = _mm512_popcnt_epi64(_mm512_and_si512(pv[1], a0));
+            return _mm512_permutex2var_epi32(lo, even, hi);
+        }
+        let a1 = _mm512_set1_epi64(a[1] as i64);
+        let lo = _mm512_add_epi64(
+            _mm512_popcnt_epi64(_mm512_and_si512(pv[0], a0)),
+            _mm512_popcnt_epi64(_mm512_and_si512(pv[1], a1)),
+        );
+        let hi = _mm512_add_epi64(
+            _mm512_popcnt_epi64(_mm512_and_si512(pv[2], a0)),
+            _mm512_popcnt_epi64(_mm512_and_si512(pv[3], a1)),
+        );
+        _mm512_permutex2var_epi32(lo, even, hi)
+    }
+
+    /// The register-table conversion of one subarray tile: per 16-window
+    /// chunk, every live plane's words are loaded once through masked
+    /// loads (window blocks live ∧ lane inside the tile — everything else
+    /// reads 0) and split word by word; then per output row, every live
+    /// (plane, slice) row is popcounted against the broadcast column words
+    /// of both sides ([`count_lanes`]), the two count vectors are
+    /// interleaved into index bytes with one byte permute, looked up at once
+    /// ([`lookup_pair`]), and `lsb(pos) − lsb(neg)` (one `vpmaddwd`) is
+    /// summed into one `i32` lane set by Horner's rule, widened into the
+    /// `i64` accumulator once; the ops bytes sum in `u64` lanes (`vpsadbw`)
+    /// and flush per output row. An active visitor sees each count vector
+    /// through a 16-lane stack array before the lookup.
+    ///
+    /// # Safety
+    ///
+    /// The host must support the AVX-512 tier's features; every plane of
+    /// `t` must hold `WPC` words per column and at least `t.windows.end`
+    /// columns (its masked loads read those words without a bounds check);
+    /// the register image must hold three 128-byte planes; and `acc` must
+    /// hold at least `t.cols.len() / slices · t.windows.len()` sums (its
+    /// masked stores write them). [`super::convert_registers_avx512`]
+    /// asserts all of them.
+    // SAFETY: `unsafe` for the target-feature gate. Callers guarantee (the
+    // safe shim `convert_registers_avx512` asserts it) that the AVX-512
+    // tier is available, that `t.table.register_image()` holds three
+    // 128-byte planes, that there are fewer than 32 planes, each with
+    // `WPC` words per column and at least `t.windows.end` columns, that
+    // the pair holds `WPC` words per column for every column of `t.cols`,
+    // and that `acc` holds at least `nc / slices · nw` sums.
+    // no_alloc: the register-table conversion runs once per subarray of every tile
+    #[target_feature(enable = "avx512f,avx512vpopcntdq,avx512bw,avx512vbmi")]
+    pub(super) unsafe fn convert_registers<const WPC: usize, V: CountVisitor>(
+        t: &ConvertTile<'_>,
+        visitor: &mut V,
         acc: &mut [i64],
     ) -> u64 {
-        let (planes, slices) = (table.planes(), table.slices());
-        let (nc, nw) = (cols.end - cols.start, windows.end - windows.start);
+        let table = t.table;
+        let (planes, slices) = (t.planes.len(), table.slices());
+        let (nc, nw) = (t.cols.len(), t.windows.len());
         let entries = table.entries();
         let ops0 = u64::from(entries[0] >> DecodeTable::OPS_SHIFT);
         let image = table.register_image().as_ptr();
-        // SAFETY: the image holds 128 entries (caller contract), so the
-        // eight 16-lane loads read `image[0..128]` exactly.
-        let t = unsafe {
-            [
-                _mm512_loadu_si512(image as *const _),
-                _mm512_loadu_si512(image.add(16) as *const _),
-                _mm512_loadu_si512(image.add(32) as *const _),
-                _mm512_loadu_si512(image.add(48) as *const _),
-                _mm512_loadu_si512(image.add(64) as *const _),
-                _mm512_loadu_si512(image.add(80) as *const _),
-                _mm512_loadu_si512(image.add(96) as *const _),
-                _mm512_loadu_si512(image.add(112) as *const _),
-            ]
+        let top = entries[table.rows()];
+        let (top_lo, top_hi, top_ops) = (top as u8, (top >> 8) as u8, (top >> 24) as u8);
+        // SAFETY: the image holds three 128-byte planes (caller contract),
+        // so the six 64-byte loads read `image[0..384]` exactly.
+        let lut = unsafe {
+            let plane = |k: usize| {
+                [
+                    _mm512_loadu_si512(image.add(128 * k) as *const _),
+                    _mm512_loadu_si512(image.add(128 * k + 64) as *const _),
+                ]
+            };
+            RegisterTable {
+                lo: plane(0),
+                hi: plane(1),
+                ops: plane(2),
+                top_lsb: _mm512_set1_epi32(i32::from_le_bytes([top_lo, top_hi, top_lo, top_hi])),
+                top_ops: _mm512_set1_epi8(top_ops as i8),
+            }
         };
-        let rows = table.rows();
-        let top = _mm512_set1_epi32(entries[rows] as i32);
-        let rows_v = _mm512_set1_epi32(rows as i32);
-        let lsb_mask = _mm512_set1_epi32(DecodeTable::LSB_MASK as i32);
+        let rows_v = _mm512_set1_epi32(table.rows() as i32);
+        // the low dword of every qword of two 8-qword vectors
+        let even = _mm512_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30);
+        // word 0 / word 1 of the 8 windows of two interleaved vectors
+        let word0 = _mm512_setr_epi64(0, 2, 4, 6, 8, 10, 12, 14);
+        let word1 = _mm512_setr_epi64(1, 3, 5, 7, 9, 11, 13, 15);
+        // SAFETY: `PAIR_INDEX` holds exactly 64 bytes.
+        let pairs = unsafe { _mm512_loadu_si512(PAIR_INDEX.as_ptr() as *const _) };
+        // vpmaddwd weights: lsb(pos) · 1 + lsb(neg) · −1
+        let pos_minus_neg = _mm512_set1_epi32(0xFFFF_0001_u32 as i32);
         let mut ops = 0u64;
-        // window lane masks of the current chunk per plane; eligibility
-        // caps planes at 31
+        // the current chunk per plane: live window lanes and split words
         let mut plane_lanes = [0u16; 32];
+        let mut pv = [[_mm512_setzero_si512(); 4]; 32];
         let mut off = 0;
         while off < nw {
             let lanes = (nw - off).min(16);
             let tail = ((1u32 << lanes) - 1) as u16;
-            for (p, m) in plane_lanes.iter_mut().enumerate().take(planes) {
-                *m = if occ.plane_live(p) {
-                    occ.window_lanes(p, windows.start + off) as u16 & tail
+            let w = t.windows.start + off;
+            for p in 0..planes {
+                // an active visitor sees every slot: its chunks run dense
+                let m = if V::ACTIVE {
+                    tail
+                } else if t.occ.plane_live(p) {
+                    t.occ.window_lanes(p, w) as u16 & tail
                 } else {
                     0
                 };
+                plane_lanes[p] = m;
+                if m == 0 {
+                    continue;
+                }
+                let base = t.planes[p].words.as_ptr().wrapping_add(w * WPC);
+                // SAFETY: a load touches only the qwords its mask selects
+                // (masked-off lanes are suppressed and read 0): those of
+                // windows `w + i` with `i < lanes`, i.e. below
+                // `t.windows.end`, all inside the plane's words (caller
+                // contract). `wrapping_add` keeps the address arithmetic
+                // of the unselected tail defined.
+                pv[p] = unsafe {
+                    if WPC == 1 {
+                        let lo = _mm512_maskz_loadu_epi64(m as u8, base as *const i64);
+                        let hi = _mm512_maskz_loadu_epi64(
+                            (m >> 8) as u8,
+                            base.wrapping_add(8) as *const i64,
+                        );
+                        [lo, hi, lo, hi]
+                    } else {
+                        let q = spread_pairs(m);
+                        let l0 = _mm512_maskz_loadu_epi64(q as u8, base as *const i64);
+                        let l1 = _mm512_maskz_loadu_epi64(
+                            (q >> 8) as u8,
+                            base.wrapping_add(8) as *const i64,
+                        );
+                        let l2 = _mm512_maskz_loadu_epi64(
+                            (q >> 16) as u8,
+                            base.wrapping_add(16) as *const i64,
+                        );
+                        let l3 = _mm512_maskz_loadu_epi64(
+                            (q >> 24) as u8,
+                            base.wrapping_add(24) as *const i64,
+                        );
+                        [
+                            _mm512_permutex2var_epi64(l0, word0, l1),
+                            _mm512_permutex2var_epi64(l0, word1, l1),
+                            _mm512_permutex2var_epi64(l2, word0, l3),
+                            _mm512_permutex2var_epi64(l2, word1, l3),
+                        ]
+                    }
+                };
             }
             for o in 0..nc / slices {
-                let mut acc32 = _mm512_setzero_si512();
-                let mut ops32 = _mm512_setzero_si512();
+                let c0 = t.cols.start + o * slices;
+                let (pos_words, neg_words) = (
+                    &t.pos.words[c0 * WPC..(c0 + slices) * WPC],
+                    &t.neg.words[c0 * WPC..(c0 + slices) * WPC],
+                );
+                let zero = _mm512_setzero_si512();
+                // Σ (lsb(pos) − lsb(neg)) << (α + p) by Horner's rule:
+                // planes and slices run descending and every step doubles
+                // the partial sum, so no row needs its own shift
+                let mut acc32 = zero;
+                // 2 · (ops(pos) + ops(neg)) summed per pair of windows
+                let mut ops64 = zero;
                 let mut dead_rows = 0u64;
-                for (p, &pm) in plane_lanes.iter().enumerate().take(planes) {
-                    for alpha in 0..slices {
-                        let oc = o * slices + alpha;
-                        let mp = if pos_live.is_live(cols.start + oc) { pm } else { 0 };
-                        let mn = if neg_live.is_live(cols.start + oc) { pm } else { 0 };
-                        if mp | mn == 0 {
+                for p in (0..planes).rev() {
+                    acc32 = _mm512_add_epi32(acc32, acc32);
+                    if plane_lanes[p] == 0 {
+                        dead_rows += slices as u64;
+                        continue;
+                    }
+                    let mut row32 = zero;
+                    for alpha in (0..slices).rev() {
+                        row32 = _mm512_add_epi32(row32, row32);
+                        let col = c0 + alpha;
+                        let pl = V::ACTIVE || t.pos_live.is_live(col);
+                        let nl = V::ACTIVE || t.neg_live.is_live(col);
+                        if !pl && !nl {
                             dead_rows += 1;
                             continue;
                         }
-                        let base = (p * nc + oc) * nw + off;
-                        // SAFETY: `base < planes · nc · nw` (p < planes,
-                        // oc < nc, off < nw), so both pointers stay inside
-                        // the count buffers. The loads touch only lanes in
-                        // `mp`/`mn`, a subset of `tail`, i.e. slots
-                        // `base..base + lanes` of this row, all inside the
-                        // tile; masked-off lanes are not accessed (AVX-512
-                        // masked loads suppress them) and read as 0.
-                        let (cp, cn) = unsafe {
-                            (
-                                _mm512_maskz_loadu_epi32(
-                                    mp,
-                                    counts_pos.as_ptr().add(base) as *const i32,
-                                ),
-                                _mm512_maskz_loadu_epi32(
-                                    mn,
-                                    counts_neg.as_ptr().add(base) as *const i32,
-                                ),
-                            )
+                        // a dead side's words are all zero: count 0
+                        let words = alpha * WPC..(alpha + 1) * WPC;
+                        let mut cp = if pl {
+                            count_lanes::<WPC>(&pv[p], &pos_words[words.clone()], even)
+                        } else {
+                            zero
                         };
-                        // a live count past the table is a slot the
-                        // kernel left unwritten; masked-off lanes read 0
-                        debug_assert!(
-                            _mm512_cmpgt_epu32_mask(_mm512_max_epu32(cp, cn), rows_v) == 0,
-                            "kernel must write every live slot"
-                        );
-                        let ep = lookup(&t, top, rows_v, cp);
-                        let en = lookup(&t, top, rows_v, cn);
-                        ops32 = _mm512_add_epi32(
-                            ops32,
-                            _mm512_add_epi32(
-                                _mm512_srli_epi32::<24>(ep),
-                                _mm512_srli_epi32::<24>(en),
-                            ),
-                        );
-                        let d = _mm512_sub_epi32(
-                            _mm512_and_si512(ep, lsb_mask),
-                            _mm512_and_si512(en, lsb_mask),
-                        );
-                        let shift = _mm_cvtsi32_si128((alpha + p) as i32);
-                        acc32 = _mm512_add_epi32(acc32, _mm512_sll_epi32(d, shift));
+                        let mut cn = if nl {
+                            count_lanes::<WPC>(&pv[p], &neg_words[words], even)
+                        } else {
+                            zero
+                        };
+                        if V::ACTIVE {
+                            let mut buf = [0u32; 16];
+                            for (side, c) in [(0, &mut cp), (1, &mut cn)] {
+                                // SAFETY: `buf` holds exactly 16 u32 lanes.
+                                unsafe { _mm512_storeu_si512(buf.as_mut_ptr() as *mut _, *c) };
+                                visitor.visit(side, p, col, w, &mut buf[..lanes]);
+                                // SAFETY: as for the store above.
+                                *c = unsafe { _mm512_loadu_si512(buf.as_ptr() as *const _) };
+                            }
+                            // the register lookup cannot fault on a count
+                            // past the table; debug builds catch it
+                            debug_assert!(
+                                _mm512_cmpgt_epu32_mask(_mm512_max_epu32(cp, cn), rows_v) == 0,
+                                "visitor wrote a count past the conversion table"
+                            );
+                        }
+                        let idx = _mm512_permutex2var_epi8(cp, pairs, cn);
+                        let (lsb, ops_bytes) = lookup_pair(&lut, idx);
+                        row32 = _mm512_add_epi32(row32, _mm512_madd_epi16(lsb, pos_minus_neg));
+                        ops64 = _mm512_add_epi64(ops64, _mm512_sad_epu8(ops_bytes, zero));
                     }
+                    acc32 = _mm512_add_epi32(acc32, row32);
                 }
-                // rows dead on both sides cost `ops0` per conversion; lanes
-                // past the tile picked entry 0 too and are masked out here
-                let live_ops = _mm512_reduce_add_epi32(_mm512_maskz_mov_epi32(tail, ops32));
-                ops += dead_rows * 2 * ops0 * lanes as u64 + u64::from(live_ops as u32);
-                if dead_rows == (planes * slices) as u64 {
+                // every live row also converted the lanes past the tile
+                // (count 0, `2 · ops0` each); rows dead on both sides cost
+                // `ops0` per conversion of the tile's lanes
+                let live_rows = (planes * slices) as u64 - dead_rows;
+                let live_ops = _mm512_reduce_add_epi64(ops64) as u64 / 2;
+                ops += live_ops - live_rows * 2 * ops0 * (16 - lanes) as u64
+                    + dead_rows * 2 * ops0 * lanes as u64;
+                if live_rows == 0 {
                     continue;
                 }
                 let a = o * nw + off;

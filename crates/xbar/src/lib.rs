@@ -21,7 +21,10 @@
 //! - the `kernel` layer — shape-specialised popcount primitives
 //!   ([`and_popcount_words`]), the fused differential tile kernel
 //!   [`mvm_diff_tile_into`] (one plane-word load serves both subarray
-//!   sides), an explicit SIMD tier (AVX-512/AVX2/NEON popcount lanes,
+//!   sides), the conversion primitive [`convert_diff_tile_into`] (that
+//!   popcount fused with the [`DecodeTable`] lookup and shift-add, so no
+//!   count goes through a buffer; a [`CountVisitor`] sees the raw counts
+//!   before the lookup), an explicit SIMD tier (AVX-512/AVX2/NEON popcount lanes,
 //!   resolved once at engine construction by [`resolve_kernel`] from a
 //!   configured [`KernelSelect`] and the `TRQ_KERNEL` environment
 //!   override), and sparsity-aware skipping via [`ColMask`] column
@@ -32,7 +35,7 @@
 //! - [`Crossbar`] and [`DiffPair`] — programmed arrays with optional device
 //!   non-idealities ([`NoiseModel`]), and [`noise::CountNoise`], the
 //!   keyed count-level surrogate the tiled engine in `trq-core` applies
-//!   between the popcount kernel and the decode.
+//!   through a [`CountVisitor`] between the popcount and the lookup.
 //!
 //! The analog front end between bit line and ADC (TIA and sample-and-hold,
 //! Fig. 5 ➌) is not modelled: the ADC digitises the bit-line count
@@ -71,9 +74,9 @@ pub use config::CrossbarConfig;
 pub use crossbar::Crossbar;
 pub use error::XbarError;
 pub use kernel::{
-    and_popcount_words, cpu_feature_summary, decode_diff_tile_into, mvm_diff_tile_into,
-    popcount_words, resolve_kernel, resolve_kernel_with, ColMask, DecodeTable, KernelConfigError,
-    KernelSelect, KernelTier, WindowOcc, KERNEL_ENV, WINDOW_BLOCK,
+    and_popcount_words, convert_diff_tile_into, cpu_feature_summary, mvm_diff_tile_into,
+    popcount_words, resolve_kernel, resolve_kernel_with, ColMask, CountVisitor, DecodeTable,
+    KernelConfigError, KernelSelect, KernelTier, NoVisit, WindowOcc, KERNEL_ENV, WINDOW_BLOCK,
 };
 pub use noise::NoiseModel;
 pub use pair::DiffPair;
