@@ -170,7 +170,9 @@ fn bench_kernel_paths(c: &mut Criterion) {
 
     // the fused conversion of one 128-row tile (16 outputs × 8 slices ×
     // 8 planes × 64 windows) on every tier: popcount, lookup and
-    // shift-add per row chunk, and on AVX-512 the register-table path
+    // shift-add per row chunk, and on AVX-512 the register-table path;
+    // the `_n1`/`_n4` tiles of 1 and 4 windows are the narrow batches
+    // of a paced server, column lanes on AVX-512
     let (outputs, slices, windows) = (16usize, 8usize, 64usize);
     let cols = outputs * slices;
     let entries: Vec<u32> =
@@ -183,24 +185,26 @@ fn bench_kernel_paths(c: &mut Criterion) {
     let (pos_live, neg_live) = (ColMask::of(&pos), ColMask::of(&neg));
     let mut acc = vec![0i64; outputs * windows];
     for tier in host_tiers() {
-        group.bench_function(&format!("convert_{}_r128", tier.name()), |b| {
-            b.iter(|| {
-                black_box(convert_diff_tile_into(
-                    tier,
-                    black_box(&table),
-                    &pos,
-                    &neg,
-                    &planes,
-                    &occ,
-                    &pos_live,
-                    &neg_live,
-                    0..cols,
-                    0..windows,
-                    &mut NoVisit,
-                    &mut acc,
-                ))
-            })
-        });
+        for (suffix, nw) in [("", windows), ("_n1", 1), ("_n4", 4)] {
+            group.bench_function(&format!("convert_{}_r128{suffix}", tier.name()), |b| {
+                b.iter(|| {
+                    black_box(convert_diff_tile_into(
+                        tier,
+                        black_box(&table),
+                        &pos,
+                        &neg,
+                        &planes,
+                        &occ,
+                        &pos_live,
+                        &neg_live,
+                        0..cols,
+                        0..nw,
+                        &mut NoVisit,
+                        &mut acc,
+                    ))
+                })
+            });
+        }
     }
 
     // input bit-plane packing of one 128-row subarray over a stage-0

@@ -270,3 +270,57 @@ fn serve_sweeps_an_expired_queued_ticket_once() {
     });
     assert_exhaustive("serve deadline sweep", &report);
 }
+
+/// A queued ticket refused under quarantine: request 1 queues behind
+/// request 0's batch, which holds the engine until request 1 is submitted
+/// and then fails, tripping quarantine (threshold 1, backoff far beyond
+/// the model's logical clock). Under every interleaving the batcher's
+/// sweep must resolve request 1 exactly once as `ModelQuarantined` (an
+/// unresolved ticket leaves its waiter parked — a deadlock) and count it
+/// in `quarantine_refused`. Outcomes are checked after the server shuts
+/// down, so a failure reports its schedule instead of unwinding through
+/// the batcher's join.
+#[test]
+fn serve_refuses_a_queued_ticket_under_quarantine_once() {
+    let report = explore(Config::default(), || {
+        let gate = Arc::new((Mutex::new(false), Condvar::new()));
+        let held = Arc::clone(&gate);
+        let policy = model_policy().with_quarantine(
+            QuarantinePolicy::disabled().with_threshold(1).with_backoff(
+                Duration::from_secs(3600),
+                2,
+                Duration::from_secs(3600),
+            ),
+        );
+        let server = Server::with_worker(policy, move |source| {
+            source.serve(move |_model: ModelId, _images: &[Tensor]| {
+                let (queued, cv) = &*held;
+                let mut queued = queued.lock().expect("gate lock");
+                while !*queued {
+                    queued = cv.wait(queued).expect("gate lock");
+                }
+                Err(NnError::BadGraph { reason: "seeded batch failure".into() })
+            })
+        });
+        let m = ModelId::new(0);
+        let first = server.submit(m, image(0.0)).expect("intake is open");
+        let queued = server.submit(m, image(1.0)).expect("the queue has room");
+        let (flag, cv) = &*gate;
+        *flag.lock().expect("gate lock") = true;
+        cv.notify_all();
+        let outcomes = [first.wait(), queued.wait()];
+        let report = server.shutdown();
+        let [first, queued] = outcomes;
+        assert!(
+            matches!(first, Err(ServeError::Forward(_))),
+            "the seeded failure must surface as Forward, got {first:?}"
+        );
+        assert!(
+            matches!(queued, Err(ServeError::ModelQuarantined(id)) if id == m),
+            "the queued request must be refused by the quarantine sweep, got {queued:?}"
+        );
+        assert_eq!(report.quarantine_refused, 1, "{report:?}");
+        assert_eq!(report.quarantine_trips, 1, "{report:?}");
+    });
+    assert_exhaustive("serve quarantine sweep", &report);
+}

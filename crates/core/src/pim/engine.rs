@@ -30,10 +30,11 @@
 //!      shift-added into the tile accumulator, counting the A/D
 //!      operations spent. On AVX-512, eligible layers (arrays of at most
 //!      128 rows, magnitudes below 2^15, output rows that fit an `i32`;
-//!      the paper's 128-row arrays qualify) convert 16 windows of an
-//!      output row at a time from a LUT held in vector registers; every
-//!      other tier and layer walks each row's live window runs in stack
-//!      chunks.
+//!      the paper's 128-row arrays qualify) convert from a LUT held in
+//!      vector registers: 16 windows of an output row at a time, or, on
+//!      tiles of fewer than 10 windows without a visitor (a small serving
+//!      batch), 16 columns of one window at a time. Every other tier and
+//!      layer walks each row's live window runs in stack chunks.
 //!
 //!    The tally and the noise are one [`CountVisitor`] that sees each
 //!    chunk's raw counts before the lookup. Without one, the conversion

@@ -155,11 +155,11 @@ fn ideal_noise_model_keeps_the_steady_state_allocation_free_and_bit_identical() 
     assert_eq!(out, want);
 }
 
-/// Warms `pim` with two calls, then asserts that ten more identical-shape
-/// calls allocate nothing on the caller and leave the arena footprint
-/// where warm-up put it.
-fn assert_steady_state_is_allocation_free(pim: &mut PimMvm, what: &str) {
-    let (depth, outputs, n) = (150, 8, 6);
+/// Warms `pim` with two calls of `n` windows, then asserts that ten more
+/// identical-shape calls allocate nothing on the caller and leave the
+/// arena footprint where warm-up put it.
+fn assert_steady_state_is_allocation_free(pim: &mut PimMvm, n: usize, what: &str) {
+    let (depth, outputs) = (150, 8);
     let info = layer(depth, outputs);
     let (weights, cols) = inputs(depth, outputs, n);
     let mut out = vec![0.0f64; outputs * n];
@@ -177,6 +177,29 @@ fn assert_steady_state_is_allocation_free(pim: &mut PimMvm, what: &str) {
     assert_eq!(pim.scratch_footprint(), footprint, "{what} arena capacity grew after warm-up");
 }
 
+/// A one-request batch (one window per layer call, a paced server's
+/// common case) on the default 128-row arch under a TRQ plan.
+fn assert_batch_of_one_is_allocation_free(exec: ExecConfig, what: &str) {
+    let params = trq_quant::TrqParams::new(3, 7, 1, 1.0, 0).unwrap();
+    let mut pim = PimMvm::new(ArchConfig::default().with_exec(exec), vec![AdcScheme::Trq(params)]);
+    assert_steady_state_is_allocation_free(&mut pim, 1, what);
+}
+
+/// The narrow tiles of a batch of one — column lanes on the AVX-512
+/// tier — allocate nothing in the serial steady state.
+#[test]
+fn steady_state_serial_batch_of_one_is_allocation_free() {
+    assert_batch_of_one_is_allocation_free(ExecConfig::serial(), "serial batch-1");
+}
+
+/// The narrow tiles of a batch of one allocate nothing on the caller in
+/// the pooled steady state, and the arenas stop growing.
+#[test]
+fn steady_state_pooled_batch_of_one_is_allocation_free() {
+    let exec = ExecConfig::serial().with_threads(2).with_tile_outputs(2);
+    assert_batch_of_one_is_allocation_free(exec, "pooled batch-1");
+}
+
 /// Dense rounds run the tally through the conversion's count visitor: a
 /// collector engine's steady state (the per-layer histogram exists after
 /// the first call) allocates nothing, serial or pooled.
@@ -185,7 +208,7 @@ fn steady_state_collector_rounds_are_allocation_free() {
     for exec in [ExecConfig::serial(), ExecConfig::serial().with_threads(2).with_tile_outputs(2)] {
         let arch = ArchConfig::default().with_exec(exec);
         let mut pim = PimMvm::collector(arch, 1, CollectorConfig::default());
-        assert_steady_state_is_allocation_free(&mut pim, "collector");
+        assert_steady_state_is_allocation_free(&mut pim, 6, "collector");
         assert!(!pim.take_samples().is_empty(), "the collector must have tallied");
     }
 }
@@ -201,7 +224,7 @@ fn steady_state_read_noise_rounds_are_allocation_free() {
         let arch = ArchConfig::default().with_exec(exec);
         let mut pim = PimMvm::new(arch, vec![AdcScheme::Trq(params)]).with_device_noise(noise);
         assert!(pim.device_noise().is_some(), "σ_read must install a noise model");
-        assert_steady_state_is_allocation_free(&mut pim, "read-noise");
+        assert_steady_state_is_allocation_free(&mut pim, 6, "read-noise");
     }
 }
 

@@ -401,6 +401,9 @@ pub struct ServeReport {
     /// Requests whose deadline passed before their batch started — not
     /// counted in `failed`.
     pub deadline_expired: u64,
+    /// Queued requests refused because their model was quarantined
+    /// while they waited — also counted in `failed`.
+    pub quarantine_refused: u64,
     /// Times any model entered (or re-entered, after a failed probe)
     /// quarantine.
     pub quarantine_trips: u64,
@@ -957,6 +960,7 @@ impl Server {
             let mut report = outcome.unwrap_or_default();
             report.shed = shed;
             report.deadline_expired = expired;
+            report.quarantine_refused = refused;
             report.quarantine_trips = trips;
             report.quarantine_reinstates = reinstates;
             report.failed += refused + leftovers.len() as u64;

@@ -7,27 +7,37 @@
 //! operations the conversion cost. [`convert_diff_tile_into`] popcounts one
 //! subarray's differential tile, folds every count into an `i64` tile
 //! accumulator and returns the A/D operations they cost; no count goes
-//! through a tile-sized buffer. It runs one of two bit-identical ways:
+//! through a tile-sized buffer. It runs one of three bit-identical ways:
 //!
 //! - **row chunks** (the scalar, AVX2 and NEON tiers, and tables or
-//!   column heights the register path does not take) — per (plane,
+//!   column heights the register paths do not take) — per (plane,
 //!   column) row, the window range is walked as maximal live/dead block
 //!   runs; live runs are counted by the tier's row kernel into a stack
 //!   chunk of at most [`ROW_CHUNK`] windows and decoded from it, dead
 //!   rows and runs fold their count-0 conversions into the ledger in
 //!   closed form;
-//! - **register table** (AVX-512 tier, tables that are
+//! - **register table, window lanes** (AVX-512 tier, tables that are
 //!   [`DecodeTable::register_eligible`] on arrays of one or two words per
-//!   column) — 16 windows of one output row at a time, with the whole
-//!   table held in vector registers as byte planes: each live plane's
-//!   words are loaded once per chunk through masked loads (lanes past the
-//!   tile and dead window blocks read 0), every (plane, slice) count
-//!   vector of both sides is popcounted against the broadcast column words
-//!   and compacted into one vector of index bytes, looked up with one byte
-//!   permute per byte plane, and the magnitude difference summed into one
-//!   `i32` lane set per output row, widened to `i64` once. Dead columns
-//!   and blocks have all-zero words, so their lanes count 0 and pick
-//!   entry 0 by arithmetic.
+//!   column, tiles of at least [`COLUMN_LANE_WINDOWS`] windows or with an
+//!   active visitor) — 16 windows of one output row at a time, with the
+//!   whole table held in vector registers as byte planes: each live
+//!   plane's words are loaded once per chunk through masked loads (lanes
+//!   past the tile and dead window blocks read 0), every (plane, slice)
+//!   count vector of both sides is popcounted against the broadcast
+//!   column words and compacted into one vector of index bytes, looked up
+//!   with one byte permute per byte plane, and the magnitude difference
+//!   summed into one `i32` lane set per output row, widened to `i64`
+//!   once. Dead columns and blocks have all-zero words, so their lanes
+//!   count 0 and pick entry 0 by arithmetic;
+//! - **register table, column lanes** (the same tables on narrower tiles
+//!   without a visitor, such as a one-request serving batch) — 16
+//!   consecutive tile columns of one window at a time, as a crossbar
+//!   digitises every bit line of an input bit-plane at once: per
+//!   16-column group both sides' column words load once, and per window
+//!   each live plane's words are broadcast against them, with the same
+//!   popcount, lookup and Horner sum over planes; each column's lane then
+//!   adds into its output's accumulator shifted by its slice. Window lanes
+//!   would leave 15 of 16 lanes idle on a one-window tile.
 //!
 //! A [`CountVisitor`] sees the raw counts of each chunk before the lookup
 //! and may rewrite them — the engine's calibration tally and count-level
@@ -47,6 +57,15 @@ pub(crate) const REGISTER_TABLE_ENTRIES: usize = 128;
 /// Magnitudes the register table holds: two bytes, read as one signed
 /// 16-bit word per side.
 const REGISTER_LSB_LIMIT: u64 = 1 << 15;
+
+/// Tile widths (in windows) below which the AVX-512 register conversion
+/// puts 16 columns of one window in its lanes instead of 16 windows of
+/// one column, when no visitor is active. Set from a sweep of 1–16
+/// window tiles over four tile shapes on an AVX-512 host: column lanes
+/// won through 9–10 windows and lost from 11–12 (`CHANGES.md` has the
+/// numbers).
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+pub(crate) const COLUMN_LANE_WINDOWS: usize = 10;
 
 /// Windows one stack chunk of the row-chunk path holds per side.
 const ROW_CHUNK: usize = 64;
@@ -518,11 +537,15 @@ mod tests {
         /// accumulator sums and ledger. Strata: array heights of 1–5 words
         /// per column (40 … 300 rows; 129 and up are never register
         /// tables); ragged tiles (short, starting mid-block, ending
-        /// mid-chunk, not a multiple of 4 windows); dead planes, dead
-        /// window blocks and dead columns on either side; saturated
-        /// columns and planes, so `count == rows` hits the register
-        /// table's `top` blend; magnitudes past the `i32` row bound
-        /// (the row-chunk fallback on AVX-512); and dense rounds, where a
+        /// mid-chunk, not a multiple of 4 windows); narrow tiles (fewer
+        /// than [`COLUMN_LANE_WINDOWS`] windows, the column-lane path on
+        /// AVX-512) with up to 40 outputs, so column groups end in tails
+        /// at every non-multiple of 16 and slice counts that do not
+        /// divide 16 straddle outputs; dead planes, dead window blocks
+        /// and dead columns on either side; saturated columns and
+        /// planes, so `count == rows` hits the register table's `top`
+        /// blend; magnitudes past the `i32` row bound (the row-chunk
+        /// fallback on AVX-512); and dense rounds, where a
         /// tally-plus-perturb visitor must see exactly the slots
         /// `mvm_diff_tile_into` writes, with the same result.
         #[test]
@@ -531,7 +554,8 @@ mod tests {
             planes in 1usize..9,
             slices in 1usize..9,
             outputs in 1usize..4,
-            shape in 0usize..3,
+            narrow_outputs in 1usize..41,
+            shape in 0usize..4,
             sparse in 0usize..4,
             saturate in proptest::bool::ANY,
             wide in proptest::bool::ANY,
@@ -542,16 +566,19 @@ mod tests {
             let rows = [40usize, 64, 127, 128, 129, 200, 300][rows_sel];
             let mut next = lcg(seed);
             // tile windows: short; mid-block start with a ragged, odd end
-            // inside a 16-lane chunk; anywhere
+            // inside a 16-lane chunk; narrow, anywhere; anywhere
             let (w0, nw) = match shape {
                 0 => (next(8) as usize, 1 + next(15) as usize),
                 1 => (
                     WINDOW_BLOCK * next(4) as usize + 1 + next(3) as usize,
                     16 * (1 + next(3) as usize) + 2 * next(7) as usize + 1,
                 ),
+                2 => (next(40) as usize, 1 + next(COLUMN_LANE_WINDOWS as u64 - 1) as usize),
                 _ => (next(40) as usize, 1 + next(90) as usize),
             };
             let n = w0 + nw + next(5) as usize;
+            // narrow tiles convert columns in 16-lane groups: span several
+            let outputs = if nw < COLUMN_LANE_WINDOWS { narrow_outputs } else { outputs };
 
             // `wide` magnitudes overflow the i32 row bound for most
             // geometries, pinning the row-chunk fallback

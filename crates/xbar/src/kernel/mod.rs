@@ -56,8 +56,8 @@ use std::ops::Range;
 mod decode;
 mod simd;
 
-pub(crate) use decode::REGISTER_TABLE_ENTRIES;
 pub use decode::{convert_diff_tile_into, CountVisitor, DecodeTable, NoVisit};
+pub(crate) use decode::{COLUMN_LANE_WINDOWS, REGISTER_TABLE_ENTRIES};
 pub use simd::{
     cpu_feature_summary, resolve_kernel, resolve_kernel_with, KernelConfigError, KernelSelect,
     KernelTier, KERNEL_ENV,
@@ -216,8 +216,8 @@ impl ColMask {
 /// the fused kernel can skip dead window runs *inside* a live subarray.
 pub const WINDOW_BLOCK: usize = 4;
 
-/// Windows one register-table conversion step covers (16 `u32` lanes of
-/// a 512-bit vector).
+/// Windows one window-lane register-table step covers (16 `u32` lanes
+/// of a 512-bit vector).
 const DECODE_LANES: usize = 16;
 
 /// Per-subarray input occupancy — the *dynamic* side of sparsity-aware

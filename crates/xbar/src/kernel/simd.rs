@@ -2,7 +2,8 @@
 //! the `target_feature`-gated row kernels behind
 //! [`mvm_diff_tile_into`](super::mvm_diff_tile_into) and the row-chunk
 //! path of [`convert_diff_tile_into`](super::convert_diff_tile_into), and
-//! the AVX-512 register-table conversion.
+//! the AVX-512 register-table conversion in its window-lane and
+//! column-lane forms.
 //!
 //! Three vector implementations exist, each bit-identical to the scalar
 //! reference paths:
@@ -38,8 +39,12 @@
 //! [`KernelTier::available`] — i.e. the live CPU reports the required
 //! features — before dispatching, so a feature-gated function is never
 //! entered on a host lacking its features; the register-table shim
-//! re-asserts it together with the operand bounds its masked loads rely
-//! on. All loads and stores are unaligned-tolerant (`loadu`/`storeu`, or
+//! re-asserts it together with the operand bounds the window-lane
+//! accumulator stores rely on, before it picks window or column lanes.
+//! Both register conversions load the table image and their masked
+//! plane or column lanes through bounds-checked slices; the column-lane
+//! conversion touches memory through those loads and safe indexing only.
+//! All loads and stores are unaligned-tolerant (`loadu`/`storeu`, or
 //! masked forms that suppress unselected lanes) against slices whose
 //! bounds the safe callers have already established.
 
@@ -49,7 +54,7 @@ use serde::{Deserialize, Serialize};
 use super::decode::{ConvertTile, CountVisitor};
 use super::RowKernels;
 #[cfg(target_arch = "x86_64")]
-use super::REGISTER_TABLE_ENTRIES;
+use super::{COLUMN_LANE_WINDOWS, REGISTER_TABLE_ENTRIES};
 
 /// A *requested* kernel implementation, as carried by configuration —
 /// resolved against the host CPU (and the `TRQ_KERNEL` environment
@@ -374,6 +379,10 @@ impl RowKernels for Avx512Rows {
 
 /// The register-table conversion on the AVX-512 tier (see
 /// [`super::decode`] for the contract it shares with the row-chunk path).
+/// Tiles narrower than [`COLUMN_LANE_WINDOWS`] windows without an active
+/// visitor run with column lanes (16 columns of one window per vector,
+/// `avx512::convert_columns`); every other tile with window lanes (16
+/// windows of one column per vector, `avx512::convert_registers`).
 ///
 /// # Panics
 ///
@@ -404,19 +413,23 @@ pub(super) fn convert_registers_avx512<V: CountVisitor>(
             && acc.len() >= t.cols.len() / slices * t.windows.len(),
         "conversion operands do not cover the tile"
     );
+    // Narrow tiles without a visitor convert with column lanes, so a
+    // tile of one window fills every lane instead of one.
+    let columns = !V::ACTIVE && t.windows.len() < COLUMN_LANE_WINDOWS;
     // SAFETY: the AVX-512 tier (avx512f + avx512vpopcntdq + avx512bw +
-    // avx512vbmi among its features) was asserted available above. The
-    // body's memory accesses rest on the invariants asserted here: the
-    // register image holds exactly three 128-byte planes (six 64-byte
-    // loads), every plane holds `wpc` words per
-    // column for every window of the tile (its masked loads touch only
-    // tile windows), fewer than 32 planes index the per-plane arrays, and
-    // the accumulator covers the tile its masked loads and stores index.
+    // avx512vbmi among its features) was asserted available above, which
+    // is all either body's `unsafe` gate asks. The window-lane body's
+    // remaining accesses rest on the invariants asserted here: fewer than
+    // 32 planes index its per-plane arrays, and the accumulator covers the
+    // tile its masked loads and stores index. Both bodies load the
+    // register image and the masked plane or column words through
+    // bounds-checked slices.
     unsafe {
-        if wpc == 1 {
-            avx512::convert_registers::<1, V>(t, visitor, acc)
-        } else {
-            avx512::convert_registers::<2, V>(t, visitor, acc)
+        match (wpc, columns) {
+            (1, true) => avx512::convert_columns::<1>(t, acc),
+            (_, true) => avx512::convert_columns::<2>(t, acc),
+            (1, false) => avx512::convert_registers::<1, V>(t, visitor, acc),
+            (_, false) => avx512::convert_registers::<2, V>(t, visitor, acc),
         }
     }
 }
@@ -766,8 +779,8 @@ mod avx2 {
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod avx512 {
-    use super::{ConvertTile, CountVisitor};
-    use crate::kernel::DecodeTable;
+    use super::{ConvertTile, CountVisitor, COLUMN_LANE_WINDOWS, REGISTER_TABLE_ENTRIES};
+    use crate::kernel::{DecodeTable, WINDOW_BLOCK};
     use core::arch::x86_64::*;
 
     /// The byte permute that interleaves two count vectors into lookup
@@ -826,10 +839,45 @@ mod avx512 {
         (_mm512_mask_blend_epi8(top, lsb, t.top_lsb), _mm512_mask_blend_epi8(top, ops, t.top_ops))
     }
 
-    /// Doubles every bit of a 16-lane window mask into a 32-lane qword
-    /// mask: window `i` of a two-word column covers qwords `2i` and
-    /// `2i + 1`.
-    // no_alloc: once per live plane of every 16-window chunk
+    /// Loads the register-held form of a register-eligible `table`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the table has no register image.
+    // SAFETY: `unsafe` only for the target-feature gate, which every
+    // caller discharges (both conversions are entered after the dispatch
+    // shim asserted the AVX-512 tier available). The six 64-byte loads
+    // read inside a slice of exactly three 128-byte planes, whose bounds
+    // the slicing checks.
+    // no_alloc: once per register-table conversion call
+    #[target_feature(enable = "avx512f,avx512bw")]
+    #[inline]
+    unsafe fn register_table(table: &DecodeTable) -> RegisterTable {
+        let image = &table.register_image()[..3 * REGISTER_TABLE_ENTRIES];
+        let top = table.entries()[table.rows()];
+        let (top_lo, top_hi, top_ops) = (top as u8, (top >> 8) as u8, (top >> 24) as u8);
+        let plane = |k: usize| {
+            let bytes = &image[128 * k..128 * (k + 1)];
+            // SAFETY: each load reads 64 bytes of the 128-byte `bytes`.
+            unsafe {
+                [
+                    _mm512_loadu_si512(bytes.as_ptr() as *const _),
+                    _mm512_loadu_si512(bytes[64..].as_ptr() as *const _),
+                ]
+            }
+        };
+        RegisterTable {
+            lo: plane(0),
+            hi: plane(1),
+            ops: plane(2),
+            top_lsb: _mm512_set1_epi32(i32::from_le_bytes([top_lo, top_hi, top_lo, top_hi])),
+            top_ops: _mm512_set1_epi8(top_ops as i8),
+        }
+    }
+
+    /// Doubles every bit of a 16-lane mask into a 32-lane qword mask:
+    /// lane `i` of two-word operands covers qwords `2i` and `2i + 1`.
+    // no_alloc: once per 16-lane operand load
     #[inline]
     fn spread_pairs(m: u16) -> u32 {
         let mut x = u32::from(m);
@@ -840,21 +888,71 @@ mod avx512 {
         x | x << 1
     }
 
-    /// The counts of one column against a chunk's plane words, compacted
-    /// to 16 `u32` lanes (window `i` in lane `i`). `pv` holds the plane's
-    /// words of 16 windows as `WPC · 2` vectors of 8 qwords — windows
-    /// 0–7 word by word, then windows 8–15 — and `a` the column's `WPC`
-    /// words; per-word popcounts of the same window add lane-wise, and one
-    /// `vpermt2d` takes the low dword of every qword of the two halves.
+    /// Loads 16 lanes of `WPC`-word operands — a plane's windows or an
+    /// array's columns, stored `WPC` words apiece from `words[0]` — in
+    /// the layout [`count_lanes`] reads: `WPC · 2` vectors of 8 qwords,
+    /// lanes 0–7 word by word, then lanes 8–15. Lanes outside `m` read 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `words` is shorter than the highest selected lane.
+    // SAFETY: `unsafe` only for the target-feature gate (see
+    // `register_table`). A masked load touches only the qwords its mask
+    // selects (unselected lanes are suppressed and read 0): the words of
+    // the lanes in `m`, inside `words` by the length check below.
+    // `wrapping_add` keeps the address arithmetic of the unselected tail
+    // defined.
+    // no_alloc: once per live plane of a window chunk, or per column group
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn load_lanes<const WPC: usize>(words: &[u64], m: u16) -> [__m512i; 4] {
+        assert!(words.len() >= (16 - m.leading_zeros() as usize) * WPC, "lanes past the operand");
+        let base = words.as_ptr();
+        // SAFETY: see above — every selected qword lies inside `words`.
+        unsafe {
+            if WPC == 1 {
+                let lo = _mm512_maskz_loadu_epi64(m as u8, base as *const i64);
+                let hi =
+                    _mm512_maskz_loadu_epi64((m >> 8) as u8, base.wrapping_add(8) as *const i64);
+                return [lo, hi, lo, hi];
+            }
+            // word 0 / word 1 of the 8 lanes of two interleaved vectors
+            let word0 = _mm512_setr_epi64(0, 2, 4, 6, 8, 10, 12, 14);
+            let word1 = _mm512_setr_epi64(1, 3, 5, 7, 9, 11, 13, 15);
+            let q = spread_pairs(m);
+            let load = |k: usize| {
+                _mm512_maskz_loadu_epi64(
+                    (q >> (8 * k)) as u8,
+                    base.wrapping_add(8 * k) as *const i64,
+                )
+            };
+            let (l0, l1, l2, l3) = (load(0), load(1), load(2), load(3));
+            [
+                _mm512_permutex2var_epi64(l0, word0, l1),
+                _mm512_permutex2var_epi64(l0, word1, l1),
+                _mm512_permutex2var_epi64(l2, word0, l3),
+                _mm512_permutex2var_epi64(l2, word1, l3),
+            ]
+        }
+    }
+
+    /// The counts of 16 lanes of `WPC`-word operands against one
+    /// broadcast operand, compacted to 16 `u32` lanes. `pv` holds the
+    /// lanes as [`load_lanes`] lays them out and `a` the broadcast
+    /// operand's `WPC` words; per-word popcounts of the same lane add
+    /// lane-wise, and one `vpermt2d` takes the low dword of every qword
+    /// of the two halves. The window-lane conversion passes a plane's
+    /// windows and a column's words, the column-lane one a group's
+    /// columns and a window's plane words.
     ///
     /// # Safety
     ///
     /// The host must support `avx512f` and `avx512vpopcntdq`.
     // SAFETY: value intrinsics only — no memory access. `unsafe` comes
     // solely from the target-feature gate, which every caller discharges:
-    // the only caller is `convert_registers`, entered after the dispatch
+    // the callers are the two conversions, entered after the dispatch
     // shim asserted the AVX-512 tier available.
-    // no_alloc: two count vectors per (plane, slice) row and 16 windows
+    // no_alloc: two count vectors per converted row and 16 lanes
     #[target_feature(enable = "avx512f,avx512vpopcntdq")]
     #[inline]
     unsafe fn count_lanes<const WPC: usize>(
@@ -895,20 +993,15 @@ mod avx512 {
     ///
     /// # Safety
     ///
-    /// The host must support the AVX-512 tier's features; every plane of
-    /// `t` must hold `WPC` words per column and at least `t.windows.end`
-    /// columns (its masked loads read those words without a bounds check);
-    /// the register image must hold three 128-byte planes; and `acc` must
-    /// hold at least `t.cols.len() / slices · t.windows.len()` sums (its
-    /// masked stores write them). [`super::convert_registers_avx512`]
-    /// asserts all of them.
+    /// The host must support the AVX-512 tier's features; there must be
+    /// fewer than 32 planes; and `acc` must hold at least
+    /// `t.cols.len() / slices · t.windows.len()` sums (its masked stores
+    /// write them). [`super::convert_registers_avx512`] asserts all of
+    /// them. The plane and table loads check their own bounds.
     // SAFETY: `unsafe` for the target-feature gate. Callers guarantee (the
     // safe shim `convert_registers_avx512` asserts it) that the AVX-512
-    // tier is available, that `t.table.register_image()` holds three
-    // 128-byte planes, that there are fewer than 32 planes, each with
-    // `WPC` words per column and at least `t.windows.end` columns, that
-    // the pair holds `WPC` words per column for every column of `t.cols`,
-    // and that `acc` holds at least `nc / slices · nw` sums.
+    // tier is available, that there are fewer than 32 planes, and that
+    // `acc` holds at least `nc / slices · nw` sums.
     // no_alloc: the register-table conversion runs once per subarray of every tile
     #[target_feature(enable = "avx512f,avx512vpopcntdq,avx512bw,avx512vbmi")]
     pub(super) unsafe fn convert_registers<const WPC: usize, V: CountVisitor>(
@@ -919,34 +1012,11 @@ mod avx512 {
         let table = t.table;
         let (planes, slices) = (t.planes.len(), table.slices());
         let (nc, nw) = (t.cols.len(), t.windows.len());
-        let entries = table.entries();
-        let ops0 = u64::from(entries[0] >> DecodeTable::OPS_SHIFT);
-        let image = table.register_image().as_ptr();
-        let top = entries[table.rows()];
-        let (top_lo, top_hi, top_ops) = (top as u8, (top >> 8) as u8, (top >> 24) as u8);
-        // SAFETY: the image holds three 128-byte planes (caller contract),
-        // so the six 64-byte loads read `image[0..384]` exactly.
-        let lut = unsafe {
-            let plane = |k: usize| {
-                [
-                    _mm512_loadu_si512(image.add(128 * k) as *const _),
-                    _mm512_loadu_si512(image.add(128 * k + 64) as *const _),
-                ]
-            };
-            RegisterTable {
-                lo: plane(0),
-                hi: plane(1),
-                ops: plane(2),
-                top_lsb: _mm512_set1_epi32(i32::from_le_bytes([top_lo, top_hi, top_lo, top_hi])),
-                top_ops: _mm512_set1_epi8(top_ops as i8),
-            }
-        };
+        let ops0 = u64::from(table.entries()[0] >> DecodeTable::OPS_SHIFT);
+        let lut = register_table(table);
         let rows_v = _mm512_set1_epi32(table.rows() as i32);
         // the low dword of every qword of two 8-qword vectors
         let even = _mm512_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30);
-        // word 0 / word 1 of the 8 windows of two interleaved vectors
-        let word0 = _mm512_setr_epi64(0, 2, 4, 6, 8, 10, 12, 14);
-        let word1 = _mm512_setr_epi64(1, 3, 5, 7, 9, 11, 13, 15);
         // SAFETY: `PAIR_INDEX` holds exactly 64 bytes.
         let pairs = unsafe { _mm512_loadu_si512(PAIR_INDEX.as_ptr() as *const _) };
         // vpmaddwd weights: lsb(pos) · 1 + lsb(neg) · −1
@@ -973,44 +1043,9 @@ mod avx512 {
                 if m == 0 {
                     continue;
                 }
-                let base = t.planes[p].words.as_ptr().wrapping_add(w * WPC);
-                // SAFETY: a load touches only the qwords its mask selects
-                // (masked-off lanes are suppressed and read 0): those of
-                // windows `w + i` with `i < lanes`, i.e. below
-                // `t.windows.end`, all inside the plane's words (caller
-                // contract). `wrapping_add` keeps the address arithmetic
-                // of the unselected tail defined.
-                pv[p] = unsafe {
-                    if WPC == 1 {
-                        let lo = _mm512_maskz_loadu_epi64(m as u8, base as *const i64);
-                        let hi = _mm512_maskz_loadu_epi64(
-                            (m >> 8) as u8,
-                            base.wrapping_add(8) as *const i64,
-                        );
-                        [lo, hi, lo, hi]
-                    } else {
-                        let q = spread_pairs(m);
-                        let l0 = _mm512_maskz_loadu_epi64(q as u8, base as *const i64);
-                        let l1 = _mm512_maskz_loadu_epi64(
-                            (q >> 8) as u8,
-                            base.wrapping_add(8) as *const i64,
-                        );
-                        let l2 = _mm512_maskz_loadu_epi64(
-                            (q >> 16) as u8,
-                            base.wrapping_add(16) as *const i64,
-                        );
-                        let l3 = _mm512_maskz_loadu_epi64(
-                            (q >> 24) as u8,
-                            base.wrapping_add(24) as *const i64,
-                        );
-                        [
-                            _mm512_permutex2var_epi64(l0, word0, l1),
-                            _mm512_permutex2var_epi64(l0, word1, l1),
-                            _mm512_permutex2var_epi64(l2, word0, l3),
-                            _mm512_permutex2var_epi64(l2, word1, l3),
-                        ]
-                    }
-                };
+                // the selected windows `w + i` (`i < lanes`) lie below
+                // `t.windows.end`, inside the plane's words
+                pv[p] = load_lanes::<WPC>(&t.planes[p].words[w * WPC..], m);
             }
             for o in 0..nc / slices {
                 let c0 = t.cols.start + o * slices;
@@ -1109,6 +1144,118 @@ mod avx512 {
             off += 16;
         }
         ops
+    }
+
+    /// The column-lane register-table conversion of a narrow tile (fewer
+    /// than [`COLUMN_LANE_WINDOWS`] windows, no active visitor): each
+    /// vector's 16 lanes hold 16 consecutive tile columns of one window,
+    /// as a crossbar digitises every bit line of one input bit-plane at
+    /// once. Per 16-column group, both sides' column words load once
+    /// ([`load_lanes`]; lanes past the tile read 0). Per window, every
+    /// plane live there (plane live ∧ the window's block live) is
+    /// popcounted against the broadcast plane words ([`count_lanes`]),
+    /// looked up ([`lookup_pair`]) and summed by Horner's rule over the
+    /// descending planes into one `i32` lane per column; lane `j` then
+    /// adds into its output's accumulator shifted by its slice. The ops
+    /// bytes of the lanes past the tile are masked out; a plane dead at a
+    /// window folds its `2 · ops0 · nc` count-0 conversions in closed
+    /// form; dead columns have all-zero words and count 0 by arithmetic.
+    ///
+    /// A lane's sum `Σ_p (lsb(pos) − lsb(neg)) << p` is at most
+    /// `max_lsb · (2^planes − 1)` in magnitude, inside the output-row
+    /// bound that makes the table register-eligible.
+    ///
+    /// # Safety
+    ///
+    /// The host must support the AVX-512 tier's features;
+    /// [`super::convert_registers_avx512`] asserts it. Every memory access
+    /// goes through a bounds-checked slice.
+    // SAFETY: `unsafe` only for the target-feature gate, which the safe
+    // shim `convert_registers_avx512` discharges by asserting the AVX-512
+    // tier available. The column loads go through `load_lanes`, which
+    // checks its slice covers the selected lanes; every other access is
+    // safe indexing.
+    // no_alloc: the column-lane conversion runs once per subarray of every narrow tile
+    #[target_feature(enable = "avx512f,avx512vpopcntdq,avx512bw,avx512vbmi")]
+    pub(super) unsafe fn convert_columns<const WPC: usize>(
+        t: &ConvertTile<'_>,
+        acc: &mut [i64],
+    ) -> u64 {
+        let table = t.table;
+        let (planes, slices) = (t.planes.len(), table.slices());
+        let (nc, nw) = (t.cols.len(), t.windows.len());
+        assert!(nw < COLUMN_LANE_WINDOWS, "column lanes take narrow tiles");
+        let ops0 = u64::from(table.entries()[0] >> DecodeTable::OPS_SHIFT);
+        let lut = register_table(table);
+        // the low dword of every qword of two 8-qword vectors
+        let even = _mm512_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30);
+        // SAFETY: `PAIR_INDEX` holds exactly 64 bytes.
+        let pairs = unsafe { _mm512_loadu_si512(PAIR_INDEX.as_ptr() as *const _) };
+        // vpmaddwd weights: lsb(pos) · 1 + lsb(neg) · −1
+        let pos_minus_neg = _mm512_set1_epi32(0xFFFF_0001_u32 as i32);
+        let zero = _mm512_setzero_si512();
+        // per window, the planes live there; the dead ones fold here
+        let mut live = [0u32; COLUMN_LANE_WINDOWS];
+        let mut dead = 0u64;
+        for (i, m) in live[..nw].iter_mut().enumerate() {
+            let b = (t.windows.start + i) / WINDOW_BLOCK;
+            for p in 0..planes {
+                if t.occ.plane_live(p) && t.occ.block_live(p, b) {
+                    *m |= 1 << p;
+                } else {
+                    dead += 1;
+                }
+            }
+        }
+        let ops = dead * 2 * ops0 * nc as u64;
+        // 2 · (ops(pos) + ops(neg)) summed per pair of column lanes
+        let mut ops64 = zero;
+        let mut g = 0;
+        while g < nc {
+            let lanes = (nc - g).min(16);
+            let c = t.cols.start + g;
+            let tail = ((1u32 << lanes) - 1) as u16;
+            // the ops bytes of the group's lanes (four per lane)
+            let tail_bytes = u64::MAX >> (64 - 4 * lanes);
+            let cols_p = load_lanes::<WPC>(&t.pos.words[c * WPC..], tail);
+            let cols_n = load_lanes::<WPC>(&t.neg.words[c * WPC..], tail);
+            // lane j is tile column g + j: output row and slice shift
+            let (mut row, mut shift) = ([0usize; 16], [0u32; 16]);
+            for (j, (r, s)) in row.iter_mut().zip(&mut shift).enumerate().take(lanes) {
+                let oc = g + j;
+                (*r, *s) = (oc / slices * nw, (oc % slices) as u32);
+            }
+            for (i, &m) in live[..nw].iter().enumerate() {
+                if m == 0 {
+                    continue;
+                }
+                let w = t.windows.start + i;
+                // Σ (lsb(pos) − lsb(neg)) << p by Horner's rule
+                let mut acc32 = zero;
+                for p in (0..planes).rev() {
+                    acc32 = _mm512_add_epi32(acc32, acc32);
+                    if m >> p & 1 == 0 {
+                        continue;
+                    }
+                    let words = &t.planes[p].words[w * WPC..(w + 1) * WPC];
+                    let cp = count_lanes::<WPC>(&cols_p, words, even);
+                    let cn = count_lanes::<WPC>(&cols_n, words, even);
+                    let idx = _mm512_permutex2var_epi8(cp, pairs, cn);
+                    let (lsb, ops_bytes) = lookup_pair(&lut, idx);
+                    acc32 = _mm512_add_epi32(acc32, _mm512_madd_epi16(lsb, pos_minus_neg));
+                    let ops_bytes = _mm512_maskz_mov_epi8(tail_bytes, ops_bytes);
+                    ops64 = _mm512_add_epi64(ops64, _mm512_sad_epu8(ops_bytes, zero));
+                }
+                let mut sums = [0i32; 16];
+                // SAFETY: `sums` holds exactly 16 i32 lanes.
+                unsafe { _mm512_storeu_si512(sums.as_mut_ptr() as *mut _, acc32) };
+                for ((&v, &r), &s) in sums.iter().zip(&row).zip(&shift).take(lanes) {
+                    acc[r + i] += i64::from(v) << s;
+                }
+            }
+            g += 16;
+        }
+        ops + _mm512_reduce_add_epi64(ops64) as u64 / 2
     }
 
     /// Sum of the 4 u64 lanes of a 256-bit vector.
