@@ -51,15 +51,17 @@ pub struct PlanEval {
 ///
 /// # Errors
 ///
-/// Returns [`CalibError::Collection`] when the calibration forward pass
-/// fails (the engine session is still closed cleanly in that case).
+/// Returns [`CalibError::Kernel`] when the kernel selection is rejected,
+/// and [`CalibError::Collection`] when the calibration forward pass fails
+/// (the engine session is still closed cleanly in that case).
 pub fn collect_bl_samples(
     qnet: &QuantizedNetwork,
     arch: &ArchConfig,
     images: &[Tensor],
     config: CollectorConfig,
 ) -> Result<Vec<LayerSamples>, CalibError> {
-    let mut engine = PimMvm::collector(*arch, qnet.layers().len(), config);
+    let mut engine =
+        PimMvm::collector(*arch, qnet.layers().len(), config).map_err(CalibError::Kernel)?;
     // the whole calibration batch goes through each layer in one engine
     // call, which tallies every BL count of the layer
     qnet.forward_batch(images, &mut engine).map_err(CalibError::Collection)?;
@@ -77,10 +79,12 @@ pub fn collect_bl_samples(
 ///
 /// # Errors
 ///
-/// Returns [`CalibError`] when any shard's forward pass fails. Shards
-/// record their own outcome and the merge below picks the first failure
-/// in shard order, so the reported error is deterministic for every
-/// worker count — and a failing shard never panics inside the pool round.
+/// Returns [`CalibError::Kernel`], before the pool round, when the kernel
+/// selection is rejected, and [`CalibError`] when any shard's forward
+/// pass fails. Shards record their own outcome and the merge below picks
+/// the first failure in shard order, so the reported error is
+/// deterministic for every worker count — and a failing shard never
+/// panics inside the pool round.
 pub fn evaluate_plan(
     qnet: &QuantizedNetwork,
     arch: &ArchConfig,
@@ -107,12 +111,13 @@ pub(super) fn evaluate_against(
     }
     let threads = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1).min(8).min(n);
     let chunk = n.div_ceil(threads);
+    let engines = shard_engines(arch, plan, threads, &NoiseModel::ideal())?;
     // one result slot per shard; shards are merged in slot order below,
     // so the outcome is deterministic for every thread count
     type ShardResult = Result<(usize, PimStats, Vec<usize>), CalibError>;
     let slots: Vec<Mutex<Option<ShardResult>>> = (0..threads).map(|_| Mutex::new(None)).collect();
     let store = |shard: usize, result: ShardResult| {
-        *slots[shard].lock().unwrap_or_else(std::sync::PoisonError::into_inner) = Some(result);
+        *lock(&slots[shard]) = Some(result);
     };
     Pool::global().run(threads, &|shard| {
         let lo = shard * chunk;
@@ -120,7 +125,7 @@ pub(super) fn evaluate_against(
         if lo >= hi {
             return;
         }
-        let mut engine = PimMvm::new(*arch, plan.to_vec());
+        let mut engine = lock(&engines[shard]);
         // the shard's whole slice runs as one window batch, so the
         // engine tiles across images as well as windows
         let labeled: Vec<Tensor>;
@@ -131,7 +136,7 @@ pub(super) fn evaluate_against(
             }
             EvalMetric::Fidelity(inputs) => &inputs[lo..hi],
         };
-        let ys = match qnet.forward_batch(images, &mut engine) {
+        let ys = match qnet.forward_batch(images, &mut *engine) {
             Ok(ys) => ys,
             Err(e) => {
                 store(shard, Err(CalibError::Evaluation(e)));
@@ -164,7 +169,7 @@ pub(super) fn evaluate_against(
     let mut correct = 0usize;
     let mut all_targets = Vec::with_capacity(n);
     for slot in &slots {
-        match slot.lock().unwrap_or_else(std::sync::PoisonError::into_inner).take() {
+        match lock(slot).take() {
             Some(Ok((c, s, t))) => {
                 correct += c;
                 stats.merge(&s);
@@ -175,6 +180,28 @@ pub(super) fn evaluate_against(
         }
     }
     Ok((PlanEval { score: correct as f64 / n as f64, stats }, all_targets))
+}
+
+/// One engine per evaluation shard, built before the pool round so that a
+/// rejected kernel selection is a [`CalibError::Kernel`] instead of a
+/// panic inside the round.
+fn shard_engines(
+    arch: &ArchConfig,
+    plan: &[AdcScheme],
+    shards: usize,
+    noise: &NoiseModel,
+) -> Result<Vec<Mutex<PimMvm>>, CalibError> {
+    (0..shards)
+        .map(|_| {
+            let engine = PimMvm::try_new(*arch, plan.to_vec()).map_err(CalibError::Kernel)?;
+            Ok(Mutex::new(engine.with_device_noise(*noise)))
+        })
+        .collect()
+}
+
+/// Locks `m`, taking the value over from a panicked holder.
+fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// Evaluates a plan under a device [`NoiseModel`] — the fault-sweep
@@ -213,10 +240,11 @@ pub fn evaluate_plan_noisy(
     }
     let threads = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1).min(8).min(n);
     let chunk = n.div_ceil(threads);
+    let engines = shard_engines(arch, plan, threads, noise)?;
     type ShardResult = Result<(usize, PimStats), CalibError>;
     let slots: Vec<Mutex<Option<ShardResult>>> = (0..threads).map(|_| Mutex::new(None)).collect();
     let store = |shard: usize, result: ShardResult| {
-        *slots[shard].lock().unwrap_or_else(std::sync::PoisonError::into_inner) = Some(result);
+        *lock(&slots[shard]) = Some(result);
     };
     Pool::global().run(threads, &|shard| {
         let lo = shard * chunk;
@@ -224,7 +252,7 @@ pub fn evaluate_plan_noisy(
         if lo >= hi {
             return;
         }
-        let mut engine = PimMvm::new(*arch, plan.to_vec()).with_device_noise(*noise);
+        let mut engine = lock(&engines[shard]);
         let mut correct = 0usize;
         for i in lo..hi {
             let image = match metric {
@@ -234,7 +262,7 @@ pub fn evaluate_plan_noisy(
             // one forward per image, epoch = global index: draws depend
             // on *which* image, not which shard or thread ran it
             engine.set_noise_epoch(i as u64);
-            let y = match qnet.forward(image, &mut engine) {
+            let y = match qnet.forward(image, &mut *engine) {
                 Ok(y) => y,
                 Err(e) => {
                     store(shard, Err(CalibError::Evaluation(e)));
@@ -267,7 +295,7 @@ pub fn evaluate_plan_noisy(
     let mut stats = PimStats::default();
     let mut correct = 0usize;
     for slot in &slots {
-        match slot.lock().unwrap_or_else(std::sync::PoisonError::into_inner).take() {
+        match lock(slot).take() {
             Some(Ok((c, s))) => {
                 correct += c;
                 stats.merge(&s);
@@ -407,6 +435,39 @@ mod tests {
             sick.score,
             clean.score
         );
+    }
+
+    /// A kernel tier the host cannot run is a typed error from every
+    /// calibration entry point, never a panic inside the pool round. A
+    /// set `TRQ_KERNEL` beats the configured tier, and then every call
+    /// succeeds on the tier it names.
+    #[test]
+    fn foreign_kernel_tier_is_a_typed_error() {
+        use crate::arch::{KernelConfigError, KernelSelect};
+        use crate::calib::{algorithm1, CalibSettings};
+        let foreign =
+            if cfg!(target_arch = "x86_64") { KernelSelect::Neon } else { KernelSelect::Avx2 };
+        let pinned = std::env::var("TRQ_KERNEL").is_ok_and(|v| !v.trim().is_empty());
+        let (qnet, arch, images) = small_setup();
+        let arch = ArchConfig { exec: arch.exec.with_kernel(foreign), ..arch };
+        let metric = EvalMetric::Fidelity(&images);
+        let plan = vec![AdcScheme::uniform(6, 0.7); qnet.layers().len()];
+        let noise = NoiseModel { stuck_off_rate: 0.01, seed: 5, ..NoiseModel::ideal() };
+        let outcomes = [
+            collect_bl_samples(&qnet, &arch, &images[..2], CollectorConfig::default()).map(drop),
+            evaluate_plan(&qnet, &arch, &plan, &metric).map(drop),
+            evaluate_plan_noisy(&qnet, &arch, &plan, &metric, &noise).map(drop),
+            algorithm1(&qnet, &arch, &[], &metric, &CalibSettings::default()).map(drop),
+        ];
+        for outcome in outcomes {
+            match outcome {
+                Ok(()) => assert!(pinned, "a foreign tier must be refused"),
+                Err(CalibError::Kernel(KernelConfigError::Unavailable { .. })) => {
+                    assert!(!pinned, "TRQ_KERNEL must beat the configured tier");
+                }
+                Err(other) => panic!("expected a kernel error, got {other}"),
+            }
+        }
     }
 
     #[test]

@@ -506,10 +506,19 @@ impl PimMvm {
     /// Its tiles run dense, so the tally sees every count; each worker
     /// tallies into its own histogram and the account stage sums them,
     /// so the result is the same at every thread count.
-    pub fn collector(arch: ArchConfig, layers: usize, _config: CollectorConfig) -> Self {
-        let mut engine = PimMvm::new(arch, vec![AdcScheme::Ideal; layers]);
+    ///
+    /// # Errors
+    ///
+    /// Returns what [`PimMvm::try_new`] returns for a rejected kernel
+    /// selection.
+    pub fn collector(
+        arch: ArchConfig,
+        layers: usize,
+        _config: CollectorConfig,
+    ) -> Result<Self, KernelConfigError> {
+        let mut engine = PimMvm::try_new(arch, vec![AdcScheme::Ideal; layers])?;
         engine.collecting = true;
-        engine
+        Ok(engine)
     }
 
     /// The accumulated statistics.
@@ -1023,7 +1032,7 @@ mod tests {
         let info = info(64, 2);
         let weights: Vec<i32> = (0..64 * 2).map(|i| (i % 5) - 2).collect();
         let cols: Vec<u8> = (0..64 * 4).map(|i| (i % 7) as u8 * 30).collect();
-        let mut pim = PimMvm::collector(arch, 1, CollectorConfig::default());
+        let mut pim = PimMvm::collector(arch, 1, CollectorConfig::default()).unwrap();
         let _ = pim.mvm(&info, &weights, &cols, 4);
         let samples = pim.take_samples();
         assert_eq!(samples.len(), 1);
@@ -1041,7 +1050,7 @@ mod tests {
         let arch = arch();
         let layers = [info(150, 4), MvmLayerInfo { mvm_index: 1, ..info(40, 3) }];
         let run = || {
-            let mut pim = PimMvm::collector(arch, 2, CollectorConfig::default());
+            let mut pim = PimMvm::collector(arch, 2, CollectorConfig::default()).unwrap();
             for (call, layer) in [&layers[0], &layers[1], &layers[0]].into_iter().enumerate() {
                 let weights: Vec<i32> =
                     (0..layer.depth * layer.outputs).map(|i| (i as i32 * 7 % 255) - 127).collect();

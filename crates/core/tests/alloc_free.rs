@@ -207,7 +207,7 @@ fn steady_state_pooled_batch_of_one_is_allocation_free() {
 fn steady_state_collector_rounds_are_allocation_free() {
     for exec in [ExecConfig::serial(), ExecConfig::serial().with_threads(2).with_tile_outputs(2)] {
         let arch = ArchConfig::default().with_exec(exec);
-        let mut pim = PimMvm::collector(arch, 1, CollectorConfig::default());
+        let mut pim = PimMvm::collector(arch, 1, CollectorConfig::default()).unwrap();
         assert_steady_state_is_allocation_free(&mut pim, 6, "collector");
         assert!(!pim.take_samples().is_empty(), "the collector must have tallied");
     }

@@ -185,8 +185,9 @@ fn assert_matches(
         "{context}: ledgers diverged on tier {}",
         tier.name()
     );
-    let mut collector =
-        PimMvm::collector(arch, layer + 1, CollectorConfig::default()).with_device_noise(noise);
+    let mut collector = PimMvm::collector(arch, layer + 1, CollectorConfig::default())
+        .unwrap()
+        .with_device_noise(noise);
     let _ = collector.mvm(call.info, call.weights, call.cols, call.n);
     let samples = collector.take_samples();
     assert_eq!(samples[0].hist.counts(), want.hist, "{context}: histograms diverged");
@@ -577,7 +578,8 @@ fn collector_is_deterministic_even_with_threads_requested() {
                     arch_with_rows(128, exec),
                     layers.len(),
                     CollectorConfig::default(),
-                );
+                )
+                .unwrap();
                 let context = format!("{threads} threads, tiles {tile_outputs}x{tile_windows}");
                 assert_eq!(run(&mut pim), want, "{context}: values diverged");
                 let samples = pim.take_samples();

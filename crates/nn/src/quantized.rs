@@ -233,6 +233,13 @@ impl QuantizedNetwork {
         &self.layers
     }
 
+    /// The largest activation code the network quantizes to (255 after
+    /// [`QuantizedNetwork::quantize`]). An engine whose input bit width
+    /// cannot hold it cannot run the network.
+    pub fn act_qmax(&self) -> u32 {
+        self.act_qmax
+    }
+
     /// The underlying float network.
     pub fn network(&self) -> &Network {
         &self.net
@@ -352,7 +359,7 @@ impl QuantizedNetwork {
         xs: &[Tensor],
         engine: &mut dyn MvmEngine,
     ) -> Result<Vec<Tensor>, NnError> {
-        let qmax = self.act_qmax as f32;
+        let cap = code_cap(self.act_qmax);
         let b = xs.len();
         let (depth, outputs) = (layer.info.depth, layer.info.outputs);
         // per-image window count and output geometry (the batch is
@@ -367,13 +374,14 @@ impl QuantizedNetwork {
         };
         let nt = b * n; // windows across the whole batch
         let mut cols_all = vec![0u8; depth * nt];
+        let mut codes = Vec::new();
         for (img, x) in xs.iter().enumerate() {
             // quantize activations to unsigned codes (values are
             // non-negative in the ReLU networks under study; stray
             // negatives clamp to 0)
-            let codes = x.map(|v| (v / layer.scale_x).round().clamp(0.0, qmax));
             match layer.geom {
                 Some(geom) => {
+                    let codes = x.map(|v| f32::from(activation_code(v / layer.scale_x, cap)));
                     let cols = ops::im2col(&codes, &geom)?;
                     let data = cols.data();
                     for d in 0..depth {
@@ -384,8 +392,10 @@ impl QuantizedNetwork {
                     }
                 }
                 None => {
-                    for (d, &v) in codes.data().iter().enumerate() {
-                        cols_all[d * nt + img] = v as u8;
+                    codes.clear();
+                    codes.extend(x.data().iter().map(|&v| activation_code(v / layer.scale_x, cap)));
+                    for (d, &c) in codes.iter().enumerate() {
+                        cols_all[d * nt + img] = c;
                     }
                 }
             }
@@ -414,11 +424,74 @@ impl QuantizedNetwork {
     }
 }
 
+/// The largest activation code a network with `act_qmax` can emit: codes
+/// are `u8`, so an `act_qmax` above 255 saturates there.
+fn code_cap(act_qmax: u32) -> f32 {
+    act_qmax.min(u32::from(u8::MAX)) as f32
+}
+
+/// The activation code of the quotient `q = v / Δ_x`: `q` rounded half away
+/// from zero and clamped to `[0, cap]` ([`code_cap`]); NaN codes to 0. The
+/// result equals `q.round().clamp(0.0, act_qmax as f32) as u8` for every
+/// `q`, but the truncation and the compare vectorise where `round` is a
+/// libcall. `c − trunc(c)` is exact for `c` in `[0, 255]`, so comparing it
+/// with 0.5 decides the rounding exactly.
+#[inline]
+fn activation_code(q: f32, cap: f32) -> u8 {
+    let c = q.clamp(0.0, cap);
+    let whole = c as i32;
+    (whole + i32::from(c - whole as f32 >= 0.5)) as u8
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::data;
     use crate::models;
+
+    /// The activation code as `run_mvm_batch` computed it before
+    /// [`activation_code`]: round, clamp to `act_qmax`, saturate to `u8`.
+    fn rounded_code(q: f32, act_qmax: u32) -> u8 {
+        q.round().clamp(0.0, act_qmax as f32) as u8
+    }
+
+    /// Every f32 quotient, at the `act_qmax` of 255 that
+    /// [`QuantizedNetwork::quantize`] sets. Run with
+    /// `cargo test --release -p trq-nn -- --ignored`.
+    #[test]
+    #[ignore = "exhaustive over 2^32 inputs; run in release"]
+    fn activation_code_matches_rounding_for_every_f32() {
+        let cap = code_cap(255);
+        let mismatches = (0..=u32::MAX)
+            .filter(|&bits| {
+                let q = f32::from_bits(bits);
+                activation_code(q, cap) != rounded_code(q, 255)
+            })
+            .count();
+        assert_eq!(mismatches, 0);
+    }
+
+    /// ±2 ulp around every rounding boundary `k + 0.5` past both ends of
+    /// the code range, for `act_qmax` values at and around every cap.
+    #[test]
+    fn activation_code_matches_rounding_at_every_half() {
+        for act_qmax in [0, 1, 15, 254, 255, 256, u32::MAX] {
+            let cap = code_cap(act_qmax);
+            for k in -4i32..=300 {
+                let half = k as f32 + 0.5;
+                let bits = half.to_bits() as i64;
+                for delta in -2i64..=2 {
+                    let q = f32::from_bits((bits + delta) as u32);
+                    assert_eq!(
+                        activation_code(q, cap),
+                        rounded_code(q, act_qmax),
+                        "q {q} (bits {:#x}) at act_qmax {act_qmax}",
+                        q.to_bits()
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn exact_engine_matches_manual_product() {

@@ -76,7 +76,11 @@ impl Model {
     ///
     /// Panics when `plan` does not name a scheme per MVM layer; a silent
     /// `Ideal` fallback would make served numbers quietly diverge from
-    /// the calibrated plan.
+    /// the calibrated plan. Panics too when the network's activation
+    /// codes do not fit the architecture's input bits
+    /// (`qnet.act_qmax() ≥ 2^arch.input_bits`), which no forward could
+    /// pack into bit-planes, and when [`PimMvm::new`] rejects the kernel
+    /// selection.
     pub fn program(
         name: &str,
         qnet: QuantizedNetwork,
@@ -87,6 +91,12 @@ impl Model {
             plan.len(),
             qnet.layers().len(),
             "plan must name an ADC scheme for every MVM layer"
+        );
+        assert!(
+            qnet.act_qmax().checked_shr(arch.input_bits).unwrap_or(0) == 0,
+            "activation codes up to {} do not fit {} input bits",
+            qnet.act_qmax(),
+            arch.input_bits
         );
         let mut engine = PimMvm::new(arch, plan);
         for layer in qnet.layers() {
@@ -337,5 +347,21 @@ impl crate::BatchBackend for RegistryBackend {
                 reason: format!("load_latest({}): {e}", dir.display()),
             }),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    #[should_panic(expected = "activation codes up to 255 do not fit 4 input bits")]
+    fn program_refuses_codes_wider_than_the_inputs() {
+        let net = trq_nn::models::mlp(6, 3, 2, 1).expect("static topology");
+        let image = Tensor::from_vec(vec![6], vec![0.5; 6]).expect("static shape");
+        let qnet = QuantizedNetwork::quantize(&net, &[image]).expect("calibration succeeds");
+        let arch = ArchConfig { input_bits: 4, ..ArchConfig::default() };
+        let plan = vec![AdcScheme::Ideal; qnet.layers().len()];
+        let _ = Model::program("narrow", qnet, arch, plan);
     }
 }

@@ -246,6 +246,9 @@ impl ModelSnapshot {
     ///   weight or input bits lie outside `1..=8`, it asks for more than
     ///   [`MAX_THREADS`] engine threads, or it selects a kernel tier this
     ///   host cannot run;
+    /// - the network's largest activation code
+    ///   ([`QuantizedNetwork::act_qmax`]) needs more than the
+    ///   architecture's input bits;
     /// - the plan does not name one scheme per layer, or a scheme fails
     ///   [`AdcScheme::validate`];
     /// - a layer's index is not its position, or its weight codes do not
@@ -267,6 +270,13 @@ impl ModelSnapshot {
             return invalid(format!(
                 "{} engine threads exceed the bound of {MAX_THREADS}",
                 arch.exec.threads
+            ));
+        }
+        let qmax = self.qnet.act_qmax();
+        if u64::from(qmax) >= 1 << arch.input_bits {
+            return invalid(format!(
+                "activation codes up to {qmax} do not fit {} input bits",
+                arch.input_bits
             ));
         }
         let layers = self.qnet.layers();

@@ -6,8 +6,9 @@
 //! any thread count. The rejection tests pin the typed error for every
 //! way a file can be damaged — wrong magic, future version, truncation,
 //! bit rot, garbage payload — and for every hostile part restore must
-//! refuse before programming: a bad architecture, an unvalidated ADC
-//! scheme, a misnumbered or misshapen layer, an oversized footprint.
+//! refuse before programming: a bad architecture, activation codes wider
+//! than its inputs, an unvalidated ADC scheme, a misnumbered or misshapen
+//! layer, an oversized footprint.
 
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -257,6 +258,26 @@ fn bad_architecture_is_rejected() {
     assert_invalid(&with(|a| a.weight_bits = 0), "weight bits 0");
     assert_invalid(&with(|a| a.weight_bits = 9), "weight bits 9");
     assert_invalid(&with(|a| a.input_bits = 40), "input bits 40");
+}
+
+#[test]
+fn activation_codes_wider_than_the_input_bits_are_rejected() {
+    // 8-bit activation codes on 4-bit inputs: restoring would succeed and
+    // the first forward would panic packing bit-planes
+    let (_, snapshot) = small_snapshot();
+    assert_eq!(snapshot.qnet.act_qmax(), 255);
+    let mut narrow = snapshot.clone();
+    narrow.arch.input_bits = 4;
+    assert_invalid(&narrow, "activation codes up to 255 do not fit 4 input bits");
+    assert_invalid(&doctored(&snapshot, "\"act_qmax\":255", "\"act_qmax\":256"), "256");
+
+    // codes that fit the narrow inputs restore and run
+    let fits = doctored(&narrow, "\"act_qmax\":255", "\"act_qmax\":15");
+    let (qnet, mut engine) = fits.restore().expect("15 fits 4 input bits");
+    let images = fixture(12, 5, 77, 3).1;
+    let (outputs, stats) = run_all(&qnet, &mut engine, &images);
+    assert_eq!(outputs.len(), images.len());
+    assert!(stats.conversions() > 0);
 }
 
 #[test]

@@ -119,6 +119,12 @@ pub fn matmul_bt(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
 /// Matrix–vector product `y = A (m×k) · x (k)`. The fundamental operation
 /// the crossbar performs in-situ (`I_i = Σ_j G_ij V_j`).
 ///
+/// Each `y[i]` is the sequential sum `((0 + a_i0·x_0) + a_i1·x_1) + …` in
+/// index order. Rows run four at a time with four independent
+/// accumulators, so the additions of neighbouring rows overlap instead of
+/// waiting on one dependency chain; every row still sums in the same
+/// order, so the result is bit-identical to one row at a time.
+///
 /// # Errors
 ///
 /// Returns an error if `a` is not a matrix or the vector length mismatches.
@@ -131,15 +137,23 @@ pub fn matvec(a: &Tensor, x: &[f32]) -> Result<Vec<f32>, TensorError> {
             rhs: vec![x.len()],
         });
     }
-    let ad = a.data();
     let mut y = vec![0.0f32; m];
-    for i in 0..m {
-        let row = &ad[i * k..(i + 1) * k];
-        let mut acc = 0.0f32;
-        for (&av, &xv) in row.iter().zip(x.iter()) {
-            acc += av * xv;
+    let split = m / 4 * 4;
+    let (quad_rows, tail_rows) = a.data().split_at(split * k);
+    for (out, quad) in y.chunks_exact_mut(4).zip(quad_rows.chunks_exact(4 * k)) {
+        let (r01, r23) = quad.split_at(2 * k);
+        let ((r0, r1), (r2, r3)) = (r01.split_at(k), r23.split_at(k));
+        let mut acc = [0.0f32; 4];
+        for ((((&a0, &a1), &a2), &a3), &xv) in r0.iter().zip(r1).zip(r2).zip(r3).zip(x) {
+            acc[0] += a0 * xv;
+            acc[1] += a1 * xv;
+            acc[2] += a2 * xv;
+            acc[3] += a3 * xv;
         }
-        y[i] = acc;
+        out.copy_from_slice(&acc);
+    }
+    for (out, row) in y[split..].iter_mut().zip(tail_rows.chunks_exact(k)) {
+        *out = row.iter().zip(x).fold(0.0, |acc, (&av, &xv)| acc + av * xv);
     }
     Ok(y)
 }
@@ -244,7 +258,62 @@ mod tests {
         }
     }
 
+    /// `seed`-drawn values in `[-4, 4)`; about one in `one_in` of them (none
+    /// when `one_in` is 0) is a signed zero, a NaN or an infinity instead.
+    fn awkward_values(len: usize, seed: u64, one_in: u32) -> Vec<f32> {
+        use rand::Rng;
+        let mut r = init::rng(seed);
+        let special = [0.0, -0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+        (0..len)
+            .map(|_| {
+                if one_in > 0 && r.gen_range(0..one_in) == 0 {
+                    special[r.gen_range(0..special.len())]
+                } else {
+                    r.gen_range(-4.0f32..4.0)
+                }
+            })
+            .collect()
+    }
+
     proptest! {
+        #[test]
+        fn matvec_is_bit_identical_to_the_sequential_row_sum(
+            m in 0usize..14,
+            k in 0usize..71,
+            seed in 0u64..1_000_000,
+            rarity in 0usize..4,
+        ) {
+            let one_in = [0, 64, 16, 4][rarity];
+            let a = Tensor::from_vec(vec![m, k], awkward_values(m * k, seed, one_in));
+            if m == 0 || k == 0 {
+                // a tensor has no empty dimension, so matvec never sees one
+                prop_assert!(matches!(a, Err(crate::TensorError::EmptyShape)));
+                return Ok(());
+            }
+            let a = a.unwrap();
+            let x = awkward_values(k, seed ^ 0x9e37, one_in);
+            let y = matvec(&a, &x).unwrap();
+            prop_assert_eq!(y.len(), m);
+            for (i, (&got, row)) in y.iter().zip(a.data().chunks(k)).enumerate() {
+                let mut want = 0.0f32;
+                for (&av, &xv) in row.iter().zip(&x) {
+                    want += av * xv;
+                }
+                // Rust leaves the sign and payload of a NaN result
+                // unspecified, so any NaN matches any NaN; every other
+                // value, signed zeros included, must match bit for bit
+                prop_assert!(
+                    got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
+                    "row {} of {}x{}: {} vs {}",
+                    i,
+                    m,
+                    k,
+                    got,
+                    want
+                );
+            }
+        }
+
         #[test]
         fn matmul_matches_naive(m in 1usize..6, k in 1usize..6, n in 1usize..6, seed in 0u64..500) {
             let mut r = init::rng(seed);

@@ -85,7 +85,8 @@ fn collector_histograms_total_the_conversions() {
     let w = Workload::lenet5(&SuiteConfig::quick());
     let arch = ArchConfig::default();
     let images = &w.cal_images[..2];
-    let mut engine = PimMvm::collector(arch, w.qnet.layers().len(), CollectorConfig::default());
+    let mut engine =
+        PimMvm::collector(arch, w.qnet.layers().len(), CollectorConfig::default()).unwrap();
     w.qnet.forward_batch(images, &mut engine).unwrap();
     let samples = engine.take_samples();
     let ledger = &engine.stats().layers;
