@@ -1,4 +1,4 @@
-//! Crossbar MVM kernels: single-vector and whole-layer batched popcount.
+//! Crossbar MVM kernels: single-vector popcount and the whole-layer tile kernel.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -26,9 +26,13 @@ fn bench_mvm(c: &mut Criterion) {
     let input = BitVec::from_bools(&(0..128).map(|i| i % 3 != 0).collect::<Vec<_>>());
     group.bench_function("single_128x128", |b| b.iter(|| black_box(cells.mvm(black_box(&input)))));
 
-    let windows = setup(128, 256, 2);
+    let windows = vec![setup(128, 256, 2)];
+    let mut out = vec![0u32; 128 * 256];
     group.bench_function("batched_128x128_x256win", |b| {
-        b.iter(|| black_box(cells.mvm_matrix(black_box(&windows))))
+        b.iter(|| {
+            cells.mvm_planes_tile_into(black_box(&windows), 0..128, 0..256, &mut out);
+            black_box(&out);
+        })
     });
     group.finish();
 }

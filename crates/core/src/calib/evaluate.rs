@@ -213,7 +213,7 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 /// the engine's noise epoch pinned to the image's global index: the
 /// stuck-at pattern is a pure function of the model seed (programming
 /// happens once per shard engine), and every count-noise draw is keyed by
-/// `(seed, epoch, tile coordinates)` — so scores and ledgers are
+/// `(seed, epoch, slot coordinates)` — so scores and ledgers are
 /// bit-identical across thread counts and re-runs, which is what lets a
 /// sweep call this once per grid point and trust the comparison.
 ///

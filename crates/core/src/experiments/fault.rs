@@ -12,7 +12,7 @@
 //! in runtime.
 //!
 //! Every point is deterministic: [`evaluate_plan_noisy`] keys all noise
-//! draws on `(seed, image index, tile coordinates)`, so re-running a
+//! draws on `(seed, image index, slot coordinates)`, so re-running a
 //! sweep — or running it with a different `TRQ_THREADS` — reproduces the
 //! same frontier bit for bit.
 
@@ -34,7 +34,8 @@ pub struct FaultGrid {
     /// Stuck-at fault rates (split evenly between stuck-off and
     /// stuck-on at each level).
     pub stuck_rates: Vec<f64>,
-    /// Programming-variation levels (log-normal σ on conductance).
+    /// Programming-variation levels (σ_prog: a bit-line count `c` deviates
+    /// by `σ_prog·√c`, redrawn per image like the read noise).
     pub sigma_progs: Vec<f64>,
     /// Read-noise levels (additive σ per BL sample, cell-current units).
     pub sigma_reads: Vec<f64>,

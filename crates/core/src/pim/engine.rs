@@ -69,7 +69,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use trq_nn::{MvmEngine, MvmLayerInfo};
 use trq_quant::Histogram;
-use trq_xbar::noise::{mix64, unit_open, CountNoise};
+use trq_xbar::noise::CountNoise;
 use trq_xbar::{
     convert_diff_tile_into, pack_window_planes, resolve_kernel, BitMatrix, ColMask, CountVisitor,
     KernelConfigError, KernelTier, NoVisit, NoiseModel, WindowOcc,
@@ -438,11 +438,12 @@ impl PimMvm {
     ///
     /// - **Stuck-at faults** (`stuck_off_rate` / `stuck_on_rate`) force a
     ///   deterministic per-cell subset of the programmed bit planes to
-    ///   0/1 at **program time**, keyed on `(seed, layer, subarray, side,
-    ///   row, column)` — the same seed is the same device instance. Skip
-    ///   masks are recomputed over the faulted planes, so stuck-at-only
-    ///   noise runs on the full specialised kernel path, bit-identical
-    ///   across tiers and thread counts.
+    ///   0/1 at **program time** ([`NoiseModel::apply_stuck_at`]), keyed
+    ///   on `(seed, layer, subarray, side, row, column)` — the same seed
+    ///   is the same device instance. Skip masks are recomputed over the
+    ///   faulted planes, so stuck-at-only noise runs on the full
+    ///   specialised kernel path, bit-identical across tiers and thread
+    ///   counts.
     /// - **Programming variation / read noise** (`sigma_prog` /
     ///   `sigma_read`) perturb every BL count between the popcount kernel
     ///   and the decode with slot-keyed Gaussians
@@ -663,31 +664,11 @@ impl PimMvm {
                     }
                 }
             }
-            if let Some(noise) =
-                self.noise.filter(|nz| nz.stuck_off_rate > 0.0 || nz.stuck_on_rate > 0.0)
-            {
-                // stuck-at faults: force a deterministic per-cell subset
-                // of the sliced planes, keyed on the cell's physical
-                // coordinates — the same seed is the same device. Masks
-                // are computed *after* forcing, so the skip kernels see
-                // the faulted occupancy and stay exact.
-                let device = mix64(noise.seed, info.mvm_index as u64);
-                for (side, mat) in [(0u64, &mut pos), (1u64, &mut neg)] {
-                    for r in 0..rows {
-                        for col in 0..cols {
-                            let mut h = mix64(device, s as u64);
-                            h = mix64(h, side);
-                            h = mix64(h, r as u64);
-                            h = mix64(h, col as u64);
-                            let u = unit_open(h);
-                            if u < noise.stuck_off_rate {
-                                mat.set(r, col, false);
-                            } else if u < noise.stuck_off_rate + noise.stuck_on_rate {
-                                mat.set(r, col, true);
-                            }
-                        }
-                    }
-                }
+            if let Some(noise) = &self.noise {
+                // stuck-at faults; masks are computed *after* forcing, so
+                // the skip kernels see the faulted occupancy and stay exact
+                noise.apply_stuck_at(&mut pos, info.mvm_index, s, 0);
+                noise.apply_stuck_at(&mut neg, info.mvm_index, s, 1);
             }
             let (pos_live, neg_live) = (ColMask::of(&pos), ColMask::of(&neg));
             subarrays.push(DiffSubarray { pos, neg, pos_live, neg_live });
@@ -1083,5 +1064,48 @@ mod tests {
         assert_eq!(pim.stats().conversions(), 0);
         let _ = pim.mvm(&info, &weights, &cols, 1);
         assert!(pim.stats().conversions() > 0);
+    }
+
+    /// FNV-1a over every programmed plane's column words, pos then neg,
+    /// subarray by subarray.
+    fn programming_hash(pim: &PimMvm) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for sub in &pim.export_programming()[0].subarrays {
+            for mat in [&sub.pos, &sub.neg] {
+                for col in 0..mat.cols() {
+                    for r0 in (0..mat.rows()).step_by(64) {
+                        let word = (r0..(r0 + 64).min(mat.rows()))
+                            .filter(|&r| mat.get(r, col))
+                            .fold(0u64, |w, r| w | 1 << (r - r0));
+                        for byte in word.to_le_bytes() {
+                            hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+                        }
+                    }
+                }
+            }
+        }
+        hash
+    }
+
+    /// The stuck-at map is a pure function of `(seed, layer, subarray,
+    /// side, row, column)`: this device's programmed planes must keep the
+    /// hash they had when the map was first recorded.
+    #[test]
+    fn stuck_at_map_reproduces_the_pinned_device() {
+        const PINNED: u64 = 0x64fd_fa38_ca37_e4db;
+        let info = MvmLayerInfo { mvm_index: 3, ..info(150, 5) };
+        let weights: Vec<i32> = (0..150 * 5).map(|i| (i * 37) % 255 - 127).collect();
+        let noise = NoiseModel {
+            stuck_off_rate: 0.05,
+            stuck_on_rate: 0.05,
+            seed: 0x5EED,
+            ..NoiseModel::ideal()
+        };
+        let mut clean = PimMvm::new(arch(), vec![]);
+        clean.program_layer(&info, &weights);
+        let mut faulty = PimMvm::new(arch(), vec![]).with_device_noise(noise);
+        faulty.program_layer(&info, &weights);
+        assert_ne!(programming_hash(&faulty), programming_hash(&clean), "faults must land");
+        assert_eq!(programming_hash(&faulty), PINNED, "{:#x}", programming_hash(&faulty));
     }
 }

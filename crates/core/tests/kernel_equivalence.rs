@@ -526,16 +526,22 @@ fn count_noise_is_deterministic_across_threads_and_tilings() {
         }
     }
 
-    // a new epoch re-keys every draw: same device, fresh read noise
+    // a new epoch re-keys every draw, σ_prog's as well as σ_read's: the
+    // programming-variation term is redrawn, not frozen at program time
+    let prog_only = NoiseModel { sigma_prog: 0.5, seed: noise.seed, ..NoiseModel::ideal() };
     let arch = arch_with_rows(128, base_exec);
-    let mut epoch1 = PimMvm::new(arch, vec![scheme]).with_device_noise(noise);
-    epoch1.set_noise_epoch(1);
-    let got = epoch1.mvm(&info, &weights, &cols, n);
-    assert_ne!(got, want.values, "epochs must decorrelate draws");
-    let mut reference = ReferenceMvm::new(arch, vec![scheme], noise);
-    reference.set_noise_epoch(1);
-    assert_eq!(got, reference.mvm(&info, &weights, &cols, n), "epoch 1 diverged");
-    assert_eq!(Ledger::of(&epoch1.stats().layers[0]), reference.ledgers[&0]);
+    for model in [noise, prog_only] {
+        let epoch0 =
+            PimMvm::new(arch, vec![scheme]).with_device_noise(model).mvm(&info, &weights, &cols, n);
+        let mut epoch1 = PimMvm::new(arch, vec![scheme]).with_device_noise(model);
+        epoch1.set_noise_epoch(1);
+        let got = epoch1.mvm(&info, &weights, &cols, n);
+        assert_ne!(got, epoch0, "epochs must decorrelate draws ({model:?})");
+        let mut reference = ReferenceMvm::new(arch, vec![scheme], model);
+        reference.set_noise_epoch(1);
+        assert_eq!(got, reference.mvm(&info, &weights, &cols, n), "epoch 1 diverged ({model:?})");
+        assert_eq!(Ledger::of(&epoch1.stats().layers[0]), reference.ledgers[&0]);
+    }
 }
 
 /// Collection runs on the pool like every other round: the histograms of

@@ -383,38 +383,49 @@ fn save_snapshot_then_load_snapshot_round_trips_a_single_file() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Snapshots written before the engine had a single tile executor carry
-/// `"dispatch":"Pool"` inside `ArchConfig.exec`. Format version 1 must
-/// still restore them, bit-identically to the snapshot without the field;
-/// a later format version must refuse them with a typed error instead.
+/// Format-1 snapshots written by earlier builds carry fields this build
+/// no longer has: `"dispatch":"Pool"` inside `ArchConfig.exec` (from
+/// before the engine had a single tile executor) and `"on_off_ratio"`
+/// inside `ArchConfig.xbar` (from before the analog read path was
+/// deleted). Format version 1 must still restore each, bit-identically
+/// to the snapshot without the field; a later format version must refuse
+/// them with a typed error instead.
 #[test]
 fn legacy_dispatch_field_in_exec_restores_bit_identically() {
     const LEGACY_VERSION: u32 = 1;
+    // (text that occurs once in the payload, what replaces it)
+    const SPLICES: [(&str, &str); 2] = [
+        ("\"kernel\":", "\"dispatch\":\"Pool\",\"kernel\":"),
+        ("\"xbar\":{", "\"xbar\":{\"on_off_ratio\":1000.0,"),
+    ];
     let (qnet, snapshot) = small_snapshot();
     let bytes = encode_snapshot(&snapshot).expect("encodable");
     let payload = std::str::from_utf8(&bytes[HEADER_LEN..]).expect("JSON payload");
-    assert_eq!(payload.matches("\"kernel\":").count(), 1, "one exec config in the payload");
-    let legacy = payload.replacen("\"kernel\":", "\"dispatch\":\"Pool\",\"kernel\":", 1);
-    let mut framed = Vec::new();
-    framed.extend_from_slice(&MAGIC);
-    framed.extend_from_slice(&LEGACY_VERSION.to_le_bytes());
-    framed.extend_from_slice(&(legacy.len() as u64).to_le_bytes());
-    framed.extend_from_slice(&fnv1a64(legacy.as_bytes()).to_le_bytes());
-    framed.extend_from_slice(legacy.as_bytes());
-
-    if FORMAT_VERSION != LEGACY_VERSION {
-        assert!(matches!(decode_snapshot(&framed), Err(StoreError::UnsupportedVersion { .. })));
-        return;
-    }
-    let decoded = decode_snapshot(&framed).expect("a legacy exec config decodes");
-    assert_eq!(decoded, snapshot, "the legacy field must change nothing");
     let images = fixture(12, 5, 77, 3).1;
     let (_, mut want_engine) = snapshot.restore().expect("restore succeeds");
-    let (legacy_qnet, mut got_engine) = decoded.restore().expect("legacy restore succeeds");
     let (want, want_stats) = run_all(&qnet, &mut want_engine, &images);
-    let (got, got_stats) = run_all(&legacy_qnet, &mut got_engine, &images);
-    assert_eq!(got, want, "legacy restore must reproduce the forward bits");
-    assert_eq!(got_stats, want_stats, "legacy restore must reproduce the ledger");
+    for (anchor, field) in SPLICES {
+        assert_eq!(payload.matches(anchor).count(), 1, "{anchor} must occur once");
+        let legacy = payload.replacen(anchor, field, 1);
+        let mut framed = Vec::new();
+        framed.extend_from_slice(&MAGIC);
+        framed.extend_from_slice(&LEGACY_VERSION.to_le_bytes());
+        framed.extend_from_slice(&(legacy.len() as u64).to_le_bytes());
+        framed.extend_from_slice(&fnv1a64(legacy.as_bytes()).to_le_bytes());
+        framed.extend_from_slice(legacy.as_bytes());
+
+        if FORMAT_VERSION != LEGACY_VERSION {
+            let refused = decode_snapshot(&framed);
+            assert!(matches!(refused, Err(StoreError::UnsupportedVersion { .. })), "{field}");
+            continue;
+        }
+        let decoded = decode_snapshot(&framed).expect("a legacy field decodes");
+        assert_eq!(decoded, snapshot, "the legacy {field} must change nothing");
+        let (legacy_qnet, mut got_engine) = decoded.restore().expect("legacy restore succeeds");
+        let (got, got_stats) = run_all(&legacy_qnet, &mut got_engine, &images);
+        assert_eq!(got, want, "legacy {field} restore must reproduce the forward bits");
+        assert_eq!(got_stats, want_stats, "legacy {field} restore must reproduce the ledger");
+    }
 }
 
 fn to_json<T: serde::Serialize>(value: &T) -> String {

@@ -197,24 +197,6 @@ impl BitMatrix {
         self.words.capacity()
     }
 
-    /// Batched binary MVM: treats `inputs`' columns as a batch of input
-    /// vectors and returns the `self.cols × inputs.cols` count matrix
-    /// (row-major): `out[c][i] = popcount(self.col(c) & inputs.col(i))`.
-    ///
-    /// This is the whole-layer kernel: one call per (subarray, input-bit
-    /// cycle) covers every sliding window at once.
-    ///
-    /// # Panics
-    ///
-    /// Panics when row counts differ.
-    pub fn mvm_matrix(&self, inputs: &BitMatrix) -> Vec<u32> {
-        assert_eq!(self.rows, inputs.rows, "row count mismatch");
-        let n = inputs.cols;
-        let mut out = vec![0u32; self.cols * n];
-        self.mvm_planes_tile_into(std::slice::from_ref(inputs), 0..self.cols, 0..n, &mut out);
-        out
-    }
-
     /// Fused tile kernel: for every input bit-plane in `planes`, computes
     /// `popcount(self.col(c) & plane.col(w))` for the weight columns
     /// `cols` and window columns `windows` of one tile, writing into `out`
@@ -512,36 +494,6 @@ mod tests {
         }
 
         #[test]
-        fn mvm_matrix_matches_per_vector_mvm(rows in 1usize..150, cols in 1usize..6, n in 1usize..6, seed in 0u64..60) {
-            let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(3);
-            let mut next = || {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                (state >> 61) & 1 == 1
-            };
-            let mut m = BitMatrix::zeros(rows, cols);
-            let mut x = BitMatrix::zeros(rows, n);
-            for r in 0..rows {
-                for c in 0..cols {
-                    m.set(r, c, next());
-                }
-                for i in 0..n {
-                    x.set(r, i, next());
-                }
-            }
-            let batched = m.mvm_matrix(&x);
-            for i in 0..n {
-                let mut v = BitVec::zeros(rows);
-                for r in 0..rows {
-                    v.set(r, x.get(r, i));
-                }
-                let single = m.mvm(&v);
-                for c in 0..cols {
-                    prop_assert_eq!(batched[c * n + i], single[c]);
-                }
-            }
-        }
-
-        #[test]
         fn packed_planes_match_code_bits(
             n in 1usize..=70,
             shape in 0usize..5,
@@ -629,19 +581,34 @@ mod tests {
                     }
                 }
             }
-            let full: Vec<Vec<u32>> = planes.iter().map(|p| m.mvm_matrix(p)).collect();
-            // an interior tile: columns [1, cols), windows [1, n)
-            let (nc, nw) = (cols - 1, n - 1);
-            let mut out = vec![0u32; planes.len() * nc * nw];
-            m.mvm_planes_tile_into(&planes, 1..cols, 1..n, &mut out);
-            for p in 0..planes.len() {
-                for ci in 0..nc {
-                    for wi in 0..nw {
-                        prop_assert_eq!(
-                            out[(p * nc + ci) * nw + wi],
-                            full[p][(ci + 1) * n + wi + 1],
-                            "plane {} col {} win {}", p, ci + 1, wi + 1
-                        );
+            // full[p][w][c]: the per-vector MVM of window w of plane p, an
+            // independent loop over `BitVec` inputs
+            let full: Vec<Vec<Vec<u32>>> = planes
+                .iter()
+                .map(|p| {
+                    (0..n)
+                        .map(|w| {
+                            let bools: Vec<bool> = (0..rows).map(|r| p.get(r, w)).collect();
+                            m.mvm(&BitVec::from_bools(&bools))
+                        })
+                        .collect()
+                })
+                .collect();
+            // the whole tile, then an interior one: columns [1, cols),
+            // windows [1, n)
+            for (c0, w0) in [(0, 0), (1, 1)] {
+                let (nc, nw) = (cols - c0, n - w0);
+                let mut out = vec![0u32; planes.len() * nc * nw];
+                m.mvm_planes_tile_into(&planes, c0..cols, w0..n, &mut out);
+                for p in 0..planes.len() {
+                    for ci in 0..nc {
+                        for wi in 0..nw {
+                            prop_assert_eq!(
+                                out[(p * nc + ci) * nw + wi],
+                                full[p][wi + w0][ci + c0],
+                                "plane {} col {} win {}", p, ci + c0, wi + w0
+                            );
+                        }
                     }
                 }
             }

@@ -20,14 +20,11 @@ pub struct CrossbarConfig {
     pub cell_bits: u32,
     /// DAC resolution (`R_DA`).
     pub dac_bits: u32,
-    /// ON/OFF conductance ratio of the cell (used by the analog path; an
-    /// OFF cell leaks `1/on_off_ratio` of an ON cell's current).
-    pub on_off_ratio: f64,
 }
 
 impl Default for CrossbarConfig {
     fn default() -> Self {
-        CrossbarConfig { rows: 128, cols: 128, cell_bits: 1, dac_bits: 1, on_off_ratio: 1000.0 }
+        CrossbarConfig { rows: 128, cols: 128, cell_bits: 1, dac_bits: 1 }
     }
 }
 
@@ -39,7 +36,7 @@ impl CrossbarConfig {
     /// Returns [`XbarError::BadConfig`] for zero-sized arrays, unsupported
     /// cell/DAC widths (this simulator implements the paper's 1-bit cells
     /// and 1-bit DACs; widths up to 4 are accepted for the multi-bit cell
-    /// extension), or a non-positive ON/OFF ratio.
+    /// extension).
     pub fn validate(&self) -> Result<(), XbarError> {
         if self.rows == 0 || self.cols == 0 {
             return Err(XbarError::BadConfig {
@@ -58,9 +55,6 @@ impl CrossbarConfig {
             return Err(XbarError::BadConfig {
                 reason: format!("dac_bits {} not in 1..=4", self.dac_bits),
             });
-        }
-        if !self.on_off_ratio.is_finite() || self.on_off_ratio <= 1.0 {
-            return Err(XbarError::BadConfig { reason: "on_off_ratio must exceed 1".into() });
         }
         Ok(())
     }
@@ -105,8 +99,6 @@ mod tests {
         let cfg = CrossbarConfig { cell_bits: 0, ..Default::default() };
         assert!(cfg.validate().is_err());
         let cfg = CrossbarConfig { cell_bits: 5, ..Default::default() };
-        assert!(cfg.validate().is_err());
-        let cfg = CrossbarConfig { on_off_ratio: 0.5, ..Default::default() };
         assert!(cfg.validate().is_err());
         let cfg = CrossbarConfig { rows: 8192, ..Default::default() };
         assert!(cfg.validate().is_err());

@@ -2,27 +2,18 @@
 
 use crate::bits::{BitMatrix, BitVec};
 use crate::config::CrossbarConfig;
-use crate::noise::NoiseModel;
 use crate::XbarError;
-use serde::{Deserialize, Serialize};
 
-/// One ReRAM crossbar: a binary cell array plus an optional analog view
-/// with device non-idealities.
-///
-/// Two read paths are provided:
-/// - [`Crossbar::mvm_counts`] — the ideal integer path
-///   (`popcount(cells & input)` per bit line), used by the bit-accurate
-///   executor and as ground truth;
-/// - [`Crossbar::mvm_analog`] — the same MVM through perturbed
-///   conductances and read noise, used for robustness studies.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// One ReRAM crossbar: a binary cell array read by
+/// [`Crossbar::mvm_counts`], the integer bit-line count
+/// (`popcount(cells & input)` per bit line) the ADC digitises. Device
+/// faults are modelled at that count level by [`crate::noise`], where the
+/// tiled engine in `trq-core` applies them; this discrete array is the
+/// ideal component the hardware-path tests compose.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Crossbar {
     config: CrossbarConfig,
     cells: BitMatrix,
-    noise: NoiseModel,
-    /// Materialised only when the noise model is non-ideal: effective
-    /// conductance per cell, row-major.
-    analog: Option<Vec<f64>>,
 }
 
 impl Crossbar {
@@ -37,16 +28,6 @@ impl Crossbar {
     /// Returns [`XbarError::BadConfig`] for invalid configurations or
     /// `cell_bits > 1`.
     pub fn new(config: CrossbarConfig) -> Result<Self, XbarError> {
-        Self::with_noise(config, NoiseModel::ideal())
-    }
-
-    /// Creates a crossbar whose reads suffer the given non-idealities.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`XbarError::BadConfig`] for invalid configurations or
-    /// `cell_bits > 1` (see [`Crossbar::new`]).
-    pub fn with_noise(config: CrossbarConfig, noise: NoiseModel) -> Result<Self, XbarError> {
         config.validate()?;
         if config.cell_bits != 1 {
             return Err(XbarError::BadConfig {
@@ -56,12 +37,7 @@ impl Crossbar {
                 ),
             });
         }
-        Ok(Crossbar {
-            config,
-            cells: BitMatrix::zeros(config.rows, config.cols),
-            noise,
-            analog: None,
-        })
+        Ok(Crossbar { config, cells: BitMatrix::zeros(config.rows, config.cols) })
     }
 
     /// The configuration.
@@ -84,7 +60,6 @@ impl Crossbar {
             });
         }
         self.cells.set(row, col, on);
-        self.analog = None; // reprogramming invalidates the device sample
         Ok(())
     }
 
@@ -119,61 +94,11 @@ impl Crossbar {
         Ok(self.cells.mvm(input))
     }
 
-    /// Analog MVM: the same accumulation through sampled conductances, OFF
-    /// leakage (`1/on_off_ratio` per OFF cell on an active row), and read
-    /// noise. With an ideal noise model and infinite ON/OFF ratio this
-    /// equals [`Crossbar::mvm_counts`] exactly.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`XbarError::InputLength`] on input length mismatch.
-    pub fn mvm_analog(&mut self, input: &BitVec) -> Result<Vec<f64>, XbarError> {
-        if input.len() != self.config.rows {
-            return Err(XbarError::InputLength { expected: self.config.rows, actual: input.len() });
-        }
-        self.ensure_analog();
-        let g_off = 1.0 / self.config.on_off_ratio;
-        let analog = self.analog.as_ref().expect("materialised above");
-        // read noise uses a stream decorrelated from the programming stream
-        let mut read_rng = {
-            use rand::SeedableRng;
-            rand::rngs::StdRng::seed_from_u64(self.noise.seed ^ 0x5EED_4EAD_0000_0001)
-        };
-        let mut out = Vec::with_capacity(self.config.cols);
-        for col in 0..self.config.cols {
-            let mut acc = 0.0f64;
-            for row in 0..self.config.rows {
-                if input.get(row) {
-                    let g = analog[row * self.config.cols + col];
-                    acc += if g == 0.0 { g_off } else { g };
-                }
-            }
-            acc += self.noise.sample_read_noise(&mut read_rng);
-            out.push(acc);
-        }
-        Ok(out)
-    }
-
     /// Fraction of programmed-ON cells.
     pub fn density(&self) -> f64 {
         let total = (self.config.rows * self.config.cols) as f64;
         let ones: u32 = (0..self.config.cols).map(|c| self.cells.column_count_ones(c)).sum();
         ones as f64 / total
-    }
-
-    fn ensure_analog(&mut self) {
-        if self.analog.is_some() {
-            return;
-        }
-        let mut rng = self.noise.rng();
-        let mut analog = Vec::with_capacity(self.config.rows * self.config.cols);
-        for row in 0..self.config.rows {
-            for col in 0..self.config.cols {
-                let nominal = if self.cells.get(row, col) { 1.0 } else { 0.0 };
-                analog.push(self.noise.sample_conductance(nominal, &mut rng));
-            }
-        }
-        self.analog = Some(analog);
     }
 }
 
@@ -220,51 +145,6 @@ mod tests {
     fn input_length_checked() {
         let xb = Crossbar::new(small_cfg()).unwrap();
         assert!(xb.mvm_counts(&BitVec::zeros(7)).is_err());
-    }
-
-    #[test]
-    fn ideal_analog_path_matches_counts_up_to_leakage() {
-        let mut xb = Crossbar::new(small_cfg()).unwrap();
-        for row in 0..8 {
-            xb.program_bit(row, 0, row < 3).unwrap();
-        }
-        let input = BitVec::from_bools(&[true; 8]);
-        let counts = xb.mvm_counts(&input).unwrap();
-        let analog = xb.mvm_analog(&input).unwrap();
-        for (c, a) in counts.iter().zip(analog.iter()) {
-            // leakage adds at most rows/on_off_ratio
-            assert!((a - *c as f64).abs() <= 8.0 / 1000.0 + 1e-12, "count {c} analog {a}");
-        }
-    }
-
-    #[test]
-    fn noisy_path_deviates_but_tracks() {
-        let noise =
-            NoiseModel { sigma_prog: 0.05, sigma_read: 0.1, seed: 11, ..Default::default() };
-        let mut xb = Crossbar::with_noise(small_cfg(), noise).unwrap();
-        for row in 0..8 {
-            xb.program_bit(row, 0, true).unwrap();
-        }
-        let input = BitVec::from_bools(&[true; 8]);
-        let a = xb.mvm_analog(&input).unwrap();
-        assert!((a[0] - 8.0).abs() < 2.0, "noisy read {} too far from 8", a[0]);
-        assert_ne!(a[0], 8.0, "noise model must actually perturb");
-        // determinism: same device, same read sequence
-        let b = xb.mvm_analog(&input).unwrap();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn reprogramming_resamples_device() {
-        let noise = NoiseModel { sigma_prog: 0.2, seed: 5, ..Default::default() };
-        let mut xb = Crossbar::with_noise(small_cfg(), noise).unwrap();
-        xb.program_bit(0, 0, true).unwrap();
-        let input = BitVec::from_bools(&[true, false, false, false, false, false, false, false]);
-        let first = xb.mvm_analog(&input).unwrap()[0];
-        xb.program_bit(1, 1, true).unwrap(); // invalidates device sample
-        let second = xb.mvm_analog(&input).unwrap()[0];
-        // same seed → same resample → stable value
-        assert_eq!(first, second);
     }
 
     #[test]

@@ -32,10 +32,15 @@
 //!   `pack_window_planes` fills;
 //! - [`WeightSlicer`] / input bit-plane helpers — the spatial (weight) and
 //!   temporal (input) bit slicing of Fig. 1;
-//! - [`Crossbar`] and [`DiffPair`] — programmed arrays with optional device
-//!   non-idealities ([`NoiseModel`]), and [`noise::CountNoise`], the
-//!   keyed count-level surrogate the tiled engine in `trq-core` applies
-//!   through a [`CountVisitor`] between the popcount and the lookup.
+//! - [`Crossbar`] and [`DiffPair`] — ideal discrete arrays (a binary
+//!   cell array and its sign-magnitude pos/neg pair), the components the
+//!   hardware-path tests compose against the engine;
+//! - [`noise`] — the one device model, applied at the count level the
+//!   ADC observes: [`NoiseModel::apply_stuck_at`] forces a hashed
+//!   stuck-at map into the weight planes when a layer is programmed, and
+//!   [`noise::CountNoise`] perturbs each bit-line count (σ_prog·√c plus
+//!   σ_read), which the tiled engine in `trq-core` applies through a
+//!   [`CountVisitor`] between the popcount and the lookup.
 //!
 //! The analog front end between bit line and ADC (TIA and sample-and-hold,
 //! Fig. 5 ➌) is not modelled: the ADC digitises the bit-line count

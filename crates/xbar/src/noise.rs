@@ -1,27 +1,34 @@
-//! Device non-ideality models for the analog read path.
+//! The device model: every non-ideality the simulator applies, at the
+//! level the ADC observes it.
 //!
-//! The paper's evaluation assumes ideal devices (its contribution is in the
-//! digital SAR logic), but a credible crossbar substrate must let users ask
-//! "does TRQ survive device noise?". This module provides the standard
-//! trio used by NeuroSim-style simulators:
+//! The paper evaluates on ideal devices (its contribution is in the
+//! digital SAR logic); this module lets a study ask "does TRQ survive
+//! device faults?" without leaving the integer datapath. A
+//! [`NoiseModel`] carries four knobs, each deterministic under its
+//! `seed`:
 //!
-//! - **programming variation**: each programmed conductance deviates
-//!   log-normally from nominal (`σ_prog` in log-space);
-//! - **read noise**: additive Gaussian noise on each BL current, in units
-//!   of one cell current (`σ_read`);
-//! - **stuck-at faults**: a fraction of cells permanently ON or OFF.
+//! - **stuck-at faults** (`stuck_off_rate` / `stuck_on_rate`): a hashed
+//!   per-cell map forced into the programmed weight bit planes once, when
+//!   a layer is programmed ([`NoiseModel::apply_stuck_at`]). A stuck cell
+//!   is the same cell in every run with the same seed — the only part of
+//!   the model that is frozen into the device;
+//! - **programming variation** (`sigma_prog`): a Gaussian of
+//!   `σ_prog·√c` on each bit-line count `c` ([`CountNoise`]), the spread
+//!   of a sum of `c` independently varied cell currents;
+//! - **read noise** (`sigma_read`): an additive Gaussian of `σ_read`
+//!   cell currents on each bit-line count ([`CountNoise`]).
 //!
-//! A model with all parameters zero is exactly the ideal integer datapath
-//! (verified by test).
+//! Both σ draws are keyed on the engine's noise epoch as well as the
+//! count's coordinates, so σ_prog is redrawn with σ_read at every epoch
+//! (every image in a fault sweep) rather than frozen at program time.
+//! A model with every knob zero is the ideal datapath.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use crate::bits::BitMatrix;
 
 /// Parameters for device non-idealities. All default to zero (ideal).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NoiseModel {
-    /// Log-normal programming variation σ (log-space standard deviation).
+    /// Programming-variation σ: a count `c` deviates by `σ_prog·√c`.
     pub sigma_prog: f64,
     /// Additive Gaussian read noise per BL sample, in cell-current units.
     pub sigma_read: f64,
@@ -29,7 +36,8 @@ pub struct NoiseModel {
     pub stuck_off_rate: f64,
     /// Probability a cell is stuck ON.
     pub stuck_on_rate: f64,
-    /// RNG seed; the same seed reproduces the same device instance.
+    /// Seed of the hash chain every draw is keyed on; the same seed
+    /// reproduces the same device instance.
     pub seed: u64,
 }
 
@@ -59,43 +67,38 @@ impl NoiseModel {
             && self.stuck_on_rate == 0.0
     }
 
-    /// A deterministic RNG for this device instance.
-    pub fn rng(&self) -> StdRng {
-        StdRng::seed_from_u64(self.seed)
-    }
-
-    /// Samples the effective conductance (in cell-current units) for one
-    /// programmed cell of nominal value `nominal` (0.0 or 1.0 for binary
-    /// cells), applying stuck faults then programming variation.
-    pub fn sample_conductance(&self, nominal: f64, rng: &mut StdRng) -> f64 {
-        let fault: f64 = rng.gen();
-        let base = if fault < self.stuck_off_rate {
-            0.0
-        } else if fault < self.stuck_off_rate + self.stuck_on_rate {
-            1.0
-        } else {
-            nominal
-        };
-        if base == 0.0 || self.sigma_prog == 0.0 {
-            base
-        } else {
-            base * (self.sigma_prog * standard_normal(rng)).exp()
+    /// Forces this device's stuck-at faults into one side of one
+    /// programmed subarray: `mat` holds the weight bit planes of MVM
+    /// layer `layer`, row block `subarray`, `side` 0 = pos and 1 = neg.
+    /// Each cell draws `u ∈ (0, 1]` from the hash chain `(seed, layer,
+    /// subarray, side, row, column)`; `u < stuck_off_rate` clears it and
+    /// the next `stuck_on_rate` of the interval sets it. No effect when
+    /// both rates are zero.
+    pub fn apply_stuck_at(&self, mat: &mut BitMatrix, layer: usize, subarray: usize, side: u64) {
+        if self.stuck_off_rate == 0.0 && self.stuck_on_rate == 0.0 {
+            return;
         }
-    }
-
-    /// Samples additive read noise for one BL observation.
-    pub fn sample_read_noise(&self, rng: &mut StdRng) -> f64 {
-        if self.sigma_read == 0.0 {
-            0.0
-        } else {
-            self.sigma_read * standard_normal(rng)
+        let device = mix64(self.seed, layer as u64);
+        for r in 0..mat.rows() {
+            for col in 0..mat.cols() {
+                let mut h = mix64(device, subarray as u64);
+                h = mix64(h, side);
+                h = mix64(h, r as u64);
+                h = mix64(h, col as u64);
+                let u = unit_open(h);
+                if u < self.stuck_off_rate {
+                    mat.set(r, col, false);
+                } else if u < self.stuck_off_rate + self.stuck_on_rate {
+                    mat.set(r, col, true);
+                }
+            }
         }
     }
 }
 
 /// Mixes one more component into a splitmix64 hash chain, applied per key
 /// component so noise draws are a pure function of their coordinates.
-pub fn mix64(h: u64, v: u64) -> u64 {
+fn mix64(h: u64, v: u64) -> u64 {
     let mut z = h ^ v.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -104,21 +107,21 @@ pub fn mix64(h: u64, v: u64) -> u64 {
 
 /// Maps a 64-bit hash onto a uniform draw in (0, 1] (53-bit mantissa,
 /// never exactly zero — safe under `ln`).
-pub fn unit_open(z: u64) -> f64 {
+fn unit_open(z: u64) -> f64 {
     (((z >> 11) + 1) as f64) * (1.0 / (1u64 << 53) as f64)
 }
 
 /// Count-level device noise for one engine call: a Gaussian perturbation
-/// of each bit-line count before decode, standing in for cell-level
-/// programming variation (σ scaling with `sqrt(count)` — the deviation of
-/// a sum of `count` independent cell currents) and additive read noise (σ
-/// in cell-current units, independent of the count). The exact cell-level
-/// model lives in [`crate::DiffPair`]'s analog path; this surrogate keeps
-/// the integer datapath while perturbing exactly what the ADC sees.
+/// of each bit-line count before decode — programming variation (σ
+/// scaling with `sqrt(count)`, the deviation of a sum of `count`
+/// independent cell currents) plus additive read noise (σ in
+/// cell-current units, independent of the count). It perturbs exactly
+/// what the ADC sees and keeps the integer datapath.
 ///
-/// Draws are keyed on `(call_seed, subarray, side, plane, column,
-/// window)` — never on tile boundaries or thread ids — so a noisy result
-/// is bit-identical across tilings and thread counts.
+/// Draws are keyed on `(seed, layer, epoch, subarray, side, plane,
+/// column, window)` — never on tile boundaries or thread ids — so a
+/// noisy result is bit-identical across tilings and thread counts, and
+/// both σ terms are redrawn whenever the epoch changes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CountNoise {
     sigma_prog: f64,
@@ -175,61 +178,60 @@ impl CountNoise {
     }
 }
 
-fn standard_normal(rng: &mut StdRng) -> f64 {
-    loop {
-        let u1: f64 = rng.gen();
-        let u2: f64 = rng.gen();
-        if u1 > f64::MIN_POSITIVE {
-            return (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn stuck(off: f64, on: f64, seed: u64) -> NoiseModel {
+        NoiseModel { stuck_off_rate: off, stuck_on_rate: on, seed, ..Default::default() }
+    }
+
+    /// A `rows × cols` matrix with every cell ON.
+    fn all_on(rows: usize, cols: usize) -> BitMatrix {
+        let mut m = BitMatrix::zeros(rows, cols);
+        for r in 0..rows {
+            for c in 0..cols {
+                m.set(r, c, true);
+            }
+        }
+        m
+    }
+
+    fn ones(m: &BitMatrix) -> u32 {
+        (0..m.cols()).map(|c| m.column_count_ones(c)).sum()
+    }
 
     #[test]
     fn ideal_model_is_identity() {
         let m = NoiseModel::ideal();
         assert!(m.is_ideal());
-        let mut rng = m.rng();
-        assert_eq!(m.sample_conductance(1.0, &mut rng), 1.0);
-        assert_eq!(m.sample_conductance(0.0, &mut rng), 0.0);
-        assert_eq!(m.sample_read_noise(&mut rng), 0.0);
-    }
-
-    #[test]
-    fn programming_variation_is_unbiased_in_log_space() {
-        let m = NoiseModel { sigma_prog: 0.1, seed: 3, ..Default::default() };
-        let mut rng = m.rng();
-        let mut log_sum = 0.0;
-        let n = 20000;
-        for _ in 0..n {
-            log_sum += m.sample_conductance(1.0, &mut rng).ln();
+        let sigmas_only = NoiseModel { sigma_prog: 0.3, sigma_read: 1.0, seed: 9, ..m };
+        let mut cells = BitMatrix::zeros(70, 5);
+        for i in 0..70 {
+            cells.set(i, i % 5, true);
         }
-        assert!((log_sum / n as f64).abs() < 0.01);
+        for model in [m, sigmas_only] {
+            let mut mat = cells.clone();
+            model.apply_stuck_at(&mut mat, 2, 1, 0);
+            assert_eq!(mat, cells, "no stuck rate, no forced cell");
+        }
     }
 
     #[test]
     fn stuck_rates_are_respected() {
-        let m =
-            NoiseModel { stuck_off_rate: 0.2, stuck_on_rate: 0.1, seed: 7, ..Default::default() };
-        let mut rng = m.rng();
-        let n = 50000;
-        let mut off = 0;
-        let mut on = 0;
-        for _ in 0..n {
-            // nominal 0 cell: stuck-ON makes it 1
-            if m.sample_conductance(0.0, &mut rng) == 0.0 {
-                off += 1;
-            } else {
-                on += 1;
-            }
-        }
-        let on_rate = on as f64 / n as f64;
+        let m = stuck(0.2, 0.1, 7);
+        let (rows, cols) = (256, 200);
+        let n = f64::from((rows * cols) as u32);
+        // an erased array: only stuck-ON cells read 1
+        let mut erased = BitMatrix::zeros(rows, cols);
+        m.apply_stuck_at(&mut erased, 0, 0, 0);
+        let on_rate = f64::from(ones(&erased)) / n;
         assert!((on_rate - 0.1).abs() < 0.01, "stuck-on rate {on_rate}");
-        assert!(off > 0);
+        // a fully written array: only stuck-OFF cells read 0
+        let mut written = all_on(rows, cols);
+        m.apply_stuck_at(&mut written, 0, 0, 0);
+        let off_rate = 1.0 - f64::from(ones(&written)) / n;
+        assert!((off_rate - 0.2).abs() < 0.01, "stuck-off rate {off_rate}");
     }
 
     #[test]
@@ -246,15 +248,17 @@ mod tests {
 
     #[test]
     fn same_seed_same_device() {
-        let m = NoiseModel { sigma_prog: 0.2, seed: 42, ..Default::default() };
-        let a: Vec<f64> = {
-            let mut rng = m.rng();
-            (0..10).map(|_| m.sample_conductance(1.0, &mut rng)).collect()
+        let device = |m: NoiseModel, layer: usize, subarray: usize, side: u64| {
+            let mut mat = BitMatrix::zeros(130, 24);
+            m.apply_stuck_at(&mut mat, layer, subarray, side);
+            mat
         };
-        let b: Vec<f64> = {
-            let mut rng = m.rng();
-            (0..10).map(|_| m.sample_conductance(1.0, &mut rng)).collect()
-        };
-        assert_eq!(a, b);
+        let m = stuck(0.05, 0.05, 42);
+        let first = device(m, 1, 0, 0);
+        assert_eq!(first, device(m, 1, 0, 0), "same seed and coordinates, same faults");
+        assert_ne!(first, device(stuck(0.05, 0.05, 43), 1, 0, 0), "the seed picks the device");
+        for other in [device(m, 2, 0, 0), device(m, 1, 1, 0), device(m, 1, 0, 1)] {
+            assert_ne!(first, other, "layer, subarray and side each key the map");
+        }
     }
 }

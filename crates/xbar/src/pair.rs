@@ -8,13 +8,11 @@
 use crate::bits::BitVec;
 use crate::config::CrossbarConfig;
 use crate::crossbar::Crossbar;
-use crate::noise::NoiseModel;
 use crate::slicing::WeightSlicer;
 use crate::XbarError;
-use serde::{Deserialize, Serialize};
 
 /// A pos/neg crossbar pair programmed with bit-sliced signed weights.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DiffPair {
     pos: Crossbar,
     neg: Crossbar,
@@ -35,7 +33,6 @@ impl DiffPair {
     /// errors.
     pub fn program(
         config: CrossbarConfig,
-        noise: NoiseModel,
         weights: &[i32],
         depth: usize,
         outputs: usize,
@@ -57,9 +54,8 @@ impl DiffPair {
                 ),
             });
         }
-        let mut pos = Crossbar::with_noise(config, noise)?;
-        let mut neg =
-            Crossbar::with_noise(config, NoiseModel { seed: noise.seed.wrapping_add(1), ..noise })?;
+        let mut pos = Crossbar::new(config)?;
+        let mut neg = Crossbar::new(config)?;
         for row in 0..depth {
             for out in 0..outputs {
                 for alpha in 0..weight_bits {
@@ -159,15 +155,15 @@ mod tests {
     #[test]
     fn program_rejects_oversize() {
         let weights = vec![0i32; 20 * 2];
-        assert!(DiffPair::program(cfg(), NoiseModel::ideal(), &weights, 20, 2, 8).is_err());
+        assert!(DiffPair::program(cfg(), &weights, 20, 2, 8).is_err());
         let weights = vec![0i32; 4 * 10];
-        assert!(DiffPair::program(cfg(), NoiseModel::ideal(), &weights, 4, 10, 8).is_err());
+        assert!(DiffPair::program(cfg(), &weights, 4, 10, 8).is_err());
     }
 
     #[test]
     fn pos_neg_split_is_disjoint() {
         let weights = vec![3, -3, 0, 7];
-        let pair = DiffPair::program(cfg(), NoiseModel::ideal(), &weights, 2, 2, 4).unwrap();
+        let pair = DiffPair::program(cfg(), &weights, 2, 2, 4).unwrap();
         // a cell can be ON in at most one of the two arrays
         for row in 0..2 {
             for col in 0..8 {
@@ -181,7 +177,7 @@ mod tests {
     #[test]
     fn bit_serial_matches_reference_small() {
         let weights = vec![5, -3, 2, 0, -7, 1]; // 3x2
-        let pair = DiffPair::program(cfg(), NoiseModel::ideal(), &weights, 3, 2, 4).unwrap();
+        let pair = DiffPair::program(cfg(), &weights, 3, 2, 4).unwrap();
         let x = vec![2u32, 7, 1];
         let got = pair.bit_serial_mvm(&x, 3).unwrap();
         let want = DiffPair::reference_mvm(&weights, 3, 2, &x);
@@ -203,7 +199,6 @@ mod tests {
             let x: Vec<u32> = (0..depth).map(|_| next(256).unsigned_abs()).collect();
             let pair = DiffPair::program(
                 CrossbarConfig { rows: 16, cols: 64, ..Default::default() },
-                NoiseModel::ideal(),
                 &weights, depth, outputs, 8,
             ).unwrap();
             let got = pair.bit_serial_mvm(&x, 8).unwrap();

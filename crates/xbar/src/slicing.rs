@@ -10,7 +10,6 @@
 
 use crate::bits::BitVec;
 use crate::XbarError;
-use serde::{Deserialize, Serialize};
 
 /// Extracts bit-plane `bit` of unsigned values as a packed [`BitVec`] — one
 /// DAC input cycle.
@@ -36,7 +35,7 @@ pub fn unsigned_bit_planes(values: &[u32], bits: u32) -> Vec<BitVec> {
 /// The slicer owns the geometry: a `depth × outputs` weight matrix with
 /// `weight_bits` magnitude bits yields, per output channel, `weight_bits`
 /// column slices (1-bit cells) in each of the positive and negative arrays.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WeightSlicer {
     /// MVM depth (rows used).
     pub depth: usize,

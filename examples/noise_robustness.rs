@@ -13,18 +13,22 @@
 //! The four knobs of [`trq::xbar::NoiseModel`] map to distinct physical
 //! mechanisms, and each is deterministic under the model's `seed`:
 //!
-//! - `sigma_prog` — log-normal programming variation on each cell's
-//!   conductance, drawn **once at program time** and then frozen, so a
-//!   badly-written weight is consistently bad across every inference.
+//! - `sigma_prog` — programming variation at the count level: a
+//!   bit-line count `c` deviates by a Gaussian of `σ_prog·√c`, the
+//!   spread of a sum of `c` independently varied cell currents. It is
+//!   keyed like `sigma_read` (below), so it is **redrawn for every
+//!   noise epoch** — the sweep sets the epoch to the image index — and
+//!   is not frozen at program time.
 //! - `sigma_read` — additive Gaussian noise on every bit-line sample,
-//!   in cell-current units, redrawn per conversion. Draws are keyed on
-//!   absolute (array, plane, column, window) coordinates plus the
-//!   engine's *noise epoch*, never on tiling or thread count — so a
+//!   in cell-current units, redrawn per conversion. Both σ draws are
+//!   keyed on absolute (array, plane, column, window) coordinates plus
+//!   the engine's *noise epoch*, never on tiling or thread count — so a
 //!   sweep is bit-identical whether it runs on 1 thread or 16.
 //! - `stuck_off_rate` / `stuck_on_rate` — hard faults forced into the
 //!   programmed weight bits before the column occupancy masks are
 //!   computed; a stuck cell is the same cell in every run with the
-//!   same seed.
+//!   same seed. This map is the only part of the model frozen into the
+//!   device.
 //!
 //! `NoiseModel::ideal()` is a guaranteed fast path: the engine stores
 //! no model at all and the noiseless kernels run unchanged.

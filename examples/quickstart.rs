@@ -6,7 +6,7 @@
 
 use trq::adc::{AdcEnergyParams, EnergyMeter, TrqSarAdc, UniformSarAdc};
 use trq::quant::TrqParams;
-use trq::xbar::{bit_plane, CrossbarConfig, DiffPair, NoiseModel};
+use trq::xbar::{bit_plane, CrossbarConfig, DiffPair};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A 16-deep, 4-output signed weight matrix, 8-bit magnitudes —
@@ -19,7 +19,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let x: Vec<u32> = (0..depth).map(|i| (i as u32 * 13) % 256).collect();
 
     let config = CrossbarConfig { rows: 128, cols: 128, ..Default::default() };
-    let pair = DiffPair::program(config, NoiseModel::ideal(), &weights, depth, outputs, 8)?;
+    let pair = DiffPair::program(config, &weights, depth, outputs, 8)?;
 
     // ground truth, straight integer arithmetic
     let reference = DiffPair::reference_mvm(&weights, depth, outputs, &x);

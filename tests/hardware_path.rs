@@ -9,7 +9,7 @@ use trq::core::arch::ArchConfig;
 use trq::core::pim::{AdcScheme, PimMvm};
 use trq::nn::{MvmEngine, MvmLayerInfo};
 use trq::quant::TrqParams;
-use trq::xbar::{bit_plane, CrossbarConfig, DiffPair, NoiseModel};
+use trq::xbar::{bit_plane, CrossbarConfig, DiffPair};
 
 #[test]
 fn engine_equals_discrete_component_composition() {
@@ -49,7 +49,6 @@ fn engine_equals_discrete_component_composition() {
     }
     let pair = DiffPair::program(
         CrossbarConfig::default(),
-        NoiseModel::ideal(),
         &weights_pair,
         depth,
         outputs,
